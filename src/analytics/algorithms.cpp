@@ -1,10 +1,10 @@
 #include "analytics/algorithms.h"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 #include "analytics/engine.h"
+#include "analytics/kernels.h"
 #include "obs/obs.h"
 #include "support/timer.h"
 
@@ -48,86 +48,33 @@ void requireCsrOrientation(const DistGraph& part) {
   }
 }
 
-// Shared skeleton for bfs / sssp / cc: Bellman-Ford-style rounds.
-// candidate(value[u], edgeId) proposes a value for the edge's destination;
-// the global fixpoint of min over all proposals is computed. `init`
-// seeds per-local-node values and the initial frontier.
-std::vector<uint64_t> minPropagate(
-    comm::Network& net, comm::HostId me, const DistGraph& part,
-    const std::function<uint64_t(uint64_t lid, uint64_t gid)>& init,
-    const std::function<uint64_t(uint64_t value, uint64_t edge)>& candidate,
-    uint32_t* roundsOut, double* modeledSecondsOut) {
+// Shared driver for bfs / sssp / cc: `init` seeds per-local-node values and
+// the initial frontier, MinPropKernel runs the rounds.
+template <typename Init, typename Candidate>
+std::vector<uint64_t> minPropagate(comm::Network& net, comm::HostId me,
+                                   const DistGraph& part, Init&& init,
+                                   Candidate candidate, uint32_t* roundsOut,
+                                   double* modeledSecondsOut) {
   requireCsrOrientation(part);
   SyncContext sync(net, me, part);
-  const uint64_t numLocal = part.numLocalNodes();
-  std::vector<uint64_t> value(numLocal);
-  DynamicBitset frontier(numLocal);   // nodes to relax from this round
-  DynamicBitset dirty(numLocal);      // nodes whose value changed this round
-  for (uint64_t lid = 0; lid < numLocal; ++lid) {
-    value[lid] = init(lid, part.globalId(lid));
-    if (value[lid] != kInfinity) {
-      frontier.set(lid);
-    }
-  }
-  auto combineMin = [](uint64_t& acc, uint64_t in) {
-    if (in < acc) {
-      acc = in;
-      return true;
-    }
-    return false;
-  };
+  detail::MinPropKernel<Candidate> kernel(part, std::move(candidate));
+  std::vector<uint64_t> value;
+  DynamicBitset frontier;  // nodes to relax from this round
+  kernel.init(init, value, frontier);
   uint32_t rounds = 0;
   double clusterSeconds = 0.0;  // sum over rounds of the slowest host
   RoundObs robs("min_propagate");
   for (;;) {
-    obs::ScopedSpan roundSpan(robs.trace.get(), me,
-                              "superstep " + std::to_string(rounds));
+    obs::ScopedSpan roundSpan(
+        robs.trace.get(), me,
+        detail::superstepSpanName(robs.trace.get(), rounds));
     const double cpu0 = support::threadCpuSeconds();
     const double comm0 = net.modeledCommSeconds(me);
-    // Local relaxation along out-edges.
-    std::vector<uint64_t> active;
-    frontier.collectSetBits(active);
-    frontier.resetAll();
+    const uint64_t active = kernel.superstep(sync, value, frontier);
     if (robs.supersteps != nullptr) {
       robs.supersteps->add();
-      robs.frontier->observe(static_cast<double>(active.size()));
+      robs.frontier->observe(static_cast<double>(active));
     }
-    for (uint64_t u : active) {
-      if (value[u] == kInfinity) {
-        continue;
-      }
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        const uint64_t proposal = candidate(value[u], e);
-        if (proposal < value[v]) {
-          value[v] = proposal;
-          dirty.set(v);
-        }
-      }
-    }
-    // Mirrors push changes to masters (min), masters push canonical values
-    // back; every changed node joins the next frontier.
-    DynamicBitset masterChanged(numLocal);
-    sync.reduceToMasters<uint64_t>(value, dirty, combineMin, masterChanged);
-    // Masters changed locally this round must broadcast too.
-    std::vector<uint64_t> dirtyMasters;
-    dirty.collectSetBits(dirtyMasters);
-    for (uint64_t lid : dirtyMasters) {
-      if (part.isMaster(lid)) {
-        masterChanged.set(lid);
-      }
-      frontier.set(lid);
-    }
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<uint64_t>(value, masterChanged, mirrorUpdated);
-    std::vector<uint64_t> updated;
-    masterChanged.collectSetBits(updated);
-    mirrorUpdated.collectSetBits(updated);
-    for (uint64_t lid : updated) {
-      frontier.set(lid);
-    }
-    dirty.resetAll();
     ++rounds;
     // BSP makespan: the round ends for everyone when the slowest host
     // finishes its compute + modeled communication.
@@ -275,63 +222,26 @@ std::vector<double> pageRankOnHost(comm::Network& net, comm::HostId me,
   double clusterSeconds = 0.0;
   double cpu0 = support::threadCpuSeconds();
   double comm0 = net.modeledCommSeconds(me);
-  const std::vector<uint64_t> degree = globalOutDegreesOnHost(net, me, part);
+  detail::PageRankKernel kernel(part, globalOutDegreesOnHost(net, me, part),
+                                params);
   clusterSeconds += net.allReduceMax(
       me, (support::threadCpuSeconds() - cpu0) +
               (net.modeledCommSeconds(me) - comm0));
 
   std::vector<double> rank(numLocal, n > 0 ? 1.0 / n : 0.0);
-  std::vector<double> accum(numLocal, 0.0);
-  DynamicBitset allMasters(numLocal);
-  for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-    allMasters.set(lid);
-  }
   uint32_t rounds = 0;
   RoundObs robs("pagerank");
   for (uint32_t iter = 0; iter < params.maxIterations; ++iter) {
-    obs::ScopedSpan roundSpan(robs.trace.get(), me,
-                              "superstep " + std::to_string(iter));
+    obs::ScopedSpan roundSpan(
+        robs.trace.get(), me,
+        detail::superstepSpanName(robs.trace.get(), iter));
     if (robs.supersteps != nullptr) {
       robs.supersteps->add();
       robs.frontier->observe(static_cast<double>(numLocal));
     }
     cpu0 = support::threadCpuSeconds();
     comm0 = net.modeledCommSeconds(me);
-    // Scatter contributions along local out-edges.
-    std::fill(accum.begin(), accum.end(), 0.0);
-    DynamicBitset contributed(numLocal);
-    for (uint64_t u = 0; u < numLocal; ++u) {
-      if (degree[u] == 0 || part.graph.outDegree(u) == 0) {
-        continue;
-      }
-      const double share = rank[u] / static_cast<double>(degree[u]);
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        accum[v] += share;
-        contributed.set(v);
-      }
-    }
-    // Sum partial accumulations into masters.
-    DynamicBitset unusedChanged(numLocal);
-    sync.reduceToMasters<double>(
-        accum, contributed,
-        [](double& acc, double in) {
-          acc += in;
-          return true;
-        },
-        unusedChanged);
-    // Apply and measure residual on masters.
-    double localDelta = 0.0;
-    for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-      const double updated = (1.0 - params.damping) / n +
-                             params.damping * accum[lid];
-      localDelta = std::max(localDelta, std::abs(updated - rank[lid]));
-      rank[lid] = updated;
-    }
-    // Refresh mirrors with the new ranks.
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<double>(rank, allMasters, mirrorUpdated);
+    const double localDelta = kernel.superstep(sync, rank);
     ++rounds;
     clusterSeconds += net.allReduceMax(
         me, (support::threadCpuSeconds() - cpu0) +
@@ -368,11 +278,16 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
 
   std::vector<uint8_t> alive(numLocal, 1);
   std::vector<uint64_t> decrement(numLocal, 0);
+  DynamicBitset touched(numLocal);
+  DynamicBitset reduced(numLocal);        // write-only sink of the reduce
+  DynamicBitset degreeChanged(numLocal);
+  DynamicBitset mirrorUpdated(numLocal);  // write-only sink of the broadcast
   uint32_t rounds = 0;
   RoundObs robs("kcore");
   for (;;) {
-    obs::ScopedSpan roundSpan(robs.trace.get(), me,
-                              "superstep " + std::to_string(rounds));
+    obs::ScopedSpan roundSpan(
+        robs.trace.get(), me,
+        detail::superstepSpanName(robs.trace.get(), rounds));
     if (robs.supersteps != nullptr) {
       robs.supersteps->add();
       robs.frontier->observe(static_cast<double>(
@@ -385,7 +300,7 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
     // decrements its LOCAL out-neighbors — each edge lives on exactly one
     // host, so each removal is counted exactly once.
     bool anyDied = false;
-    DynamicBitset touched(numLocal);
+    touched.resetAll();
     for (uint64_t lid = 0; lid < numLocal; ++lid) {
       if (alive[lid] == 0 || degree[lid] >= k) {
         continue;
@@ -400,7 +315,6 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
       }
     }
     // Sum decrements into masters, apply, and broadcast changed degrees.
-    DynamicBitset reduced(numLocal);
     sync.reduceToMasters<uint64_t>(
         decrement, touched,
         [](uint64_t& acc, uint64_t in) {
@@ -408,7 +322,7 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
           return true;
         },
         reduced);
-    DynamicBitset degreeChanged(numLocal);
+    degreeChanged.resetAll();
     for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
       if (decrement[lid] > 0) {
         degree[lid] =
@@ -420,7 +334,6 @@ std::vector<uint64_t> kCoreOnHost(comm::Network& net, comm::HostId me,
     // Mirrors' leftover local decrements were shipped; reset them.
     std::fill(decrement.begin() + static_cast<ptrdiff_t>(part.numMasters),
               decrement.end(), 0);
-    DynamicBitset mirrorUpdated(numLocal);
     sync.broadcastToMirrors<uint64_t>(degree, degreeChanged, mirrorUpdated);
     ++rounds;
     clusterSeconds += net.allReduceMax(

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "analytics/engine.h"
+#include "analytics/kernels.h"
 #include "core/checkpoint.h"
 #include "core/degraded.h"
 #include "obs/obs.h"
@@ -32,89 +31,35 @@ std::string epochDir(const std::string& dir, uint32_t epoch) {
 // A superstep-structured vertex program the resilient driver can roll back:
 // init seeds values + frontier, superstep runs one BSP round (local compute
 // + sync + termination vote) and returns whether more work remains. Both
-// programs below reproduce the exact round structure of their algorithms.cpp
-// counterparts, so a fault-free resilient run is the plain run, byte for
-// byte.
+// programs run the same kernels as their algorithms.cpp counterparts, so a
+// fault-free resilient run is the plain run, byte for byte.
+template <typename Init, typename Candidate>
 struct MinPropProgram {
   using Value = uint64_t;
 
   MinPropProgram(comm::Network& net, comm::HostId me, const DistGraph& part,
-                 std::function<uint64_t(uint64_t lid, uint64_t gid)> init,
-                 std::function<uint64_t(uint64_t value, uint64_t edge)> cand)
+                 Init init, Candidate candidate)
       : net(net),
         me(me),
-        part(part),
         sync(net, me, part),
         initFn(std::move(init)),
-        candidate(std::move(cand)) {}
+        kernel(part, std::move(candidate)) {}
 
   void init(std::vector<uint64_t>& value, DynamicBitset& frontier) {
-    const uint64_t numLocal = part.numLocalNodes();
-    value.resize(numLocal);
-    frontier = DynamicBitset(numLocal);
-    for (uint64_t lid = 0; lid < numLocal; ++lid) {
-      value[lid] = initFn(lid, part.globalId(lid));
-      if (value[lid] != kInfinity) {
-        frontier.set(lid);
-      }
-    }
+    kernel.init(initFn, value, frontier);
   }
 
   bool superstep(uint32_t, std::vector<uint64_t>& value,
                  DynamicBitset& frontier) {
-    const uint64_t numLocal = part.numLocalNodes();
-    DynamicBitset dirty(numLocal);
-    std::vector<uint64_t> active;
-    frontier.collectSetBits(active);
-    frontier.resetAll();
-    for (uint64_t u : active) {
-      if (value[u] == kInfinity) {
-        continue;
-      }
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        const uint64_t proposal = candidate(value[u], e);
-        if (proposal < value[v]) {
-          value[v] = proposal;
-          dirty.set(v);
-        }
-      }
-    }
-    auto combineMin = [](uint64_t& acc, uint64_t in) {
-      if (in < acc) {
-        acc = in;
-        return true;
-      }
-      return false;
-    };
-    DynamicBitset masterChanged(numLocal);
-    sync.reduceToMasters<uint64_t>(value, dirty, combineMin, masterChanged);
-    std::vector<uint64_t> dirtyMasters;
-    dirty.collectSetBits(dirtyMasters);
-    for (uint64_t lid : dirtyMasters) {
-      if (part.isMaster(lid)) {
-        masterChanged.set(lid);
-      }
-      frontier.set(lid);
-    }
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<uint64_t>(value, masterChanged, mirrorUpdated);
-    std::vector<uint64_t> updated;
-    masterChanged.collectSetBits(updated);
-    mirrorUpdated.collectSetBits(updated);
-    for (uint64_t lid : updated) {
-      frontier.set(lid);
-    }
+    kernel.superstep(sync, value, frontier);
     return net.allReduceOr(me, frontier.any());
   }
 
   comm::Network& net;
   comm::HostId me;
-  const DistGraph& part;
   SyncContext sync;
-  std::function<uint64_t(uint64_t, uint64_t)> initFn;
-  std::function<uint64_t(uint64_t, uint64_t)> candidate;
+  Init initFn;
+  detail::MinPropKernel<Candidate> kernel;
 };
 
 struct PageRankProgram {
@@ -129,12 +74,7 @@ struct PageRankProgram {
         params(params),
         // Derived state is recomputed at the start of every attempt (it is
         // cheap and layout-dependent), never checkpointed.
-        degree(globalOutDegreesOnHost(net, me, part)),
-        allMasters(part.numLocalNodes()) {
-    for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-      allMasters.set(lid);
-    }
-  }
+        kernel(part, globalOutDegreesOnHost(net, me, part), params) {}
 
   void init(std::vector<double>& value, DynamicBitset& frontier) {
     const uint64_t numLocal = part.numLocalNodes();
@@ -144,40 +84,8 @@ struct PageRankProgram {
   }
 
   bool superstep(uint32_t iter, std::vector<double>& value, DynamicBitset&) {
-    const uint64_t numLocal = part.numLocalNodes();
-    const double n = static_cast<double>(part.numGlobalNodes);
-    std::vector<double> accum(numLocal, 0.0);
-    DynamicBitset contributed(numLocal);
-    for (uint64_t u = 0; u < numLocal; ++u) {
-      if (degree[u] == 0 || part.graph.outDegree(u) == 0) {
-        continue;
-      }
-      const double share = value[u] / static_cast<double>(degree[u]);
-      for (uint64_t e = part.graph.edgeBegin(u); e < part.graph.edgeEnd(u);
-           ++e) {
-        const uint64_t v = part.graph.edgeDst(e);
-        accum[v] += share;
-        contributed.set(v);
-      }
-    }
-    DynamicBitset unusedChanged(numLocal);
-    sync.reduceToMasters<double>(
-        accum, contributed,
-        [](double& acc, double in) {
-          acc += in;
-          return true;
-        },
-        unusedChanged);
-    double localDelta = 0.0;
-    for (uint64_t lid = 0; lid < part.numMasters; ++lid) {
-      const double updated =
-          (1.0 - params.damping) / n + params.damping * accum[lid];
-      localDelta = std::max(localDelta, std::abs(updated - value[lid]));
-      value[lid] = updated;
-    }
-    DynamicBitset mirrorUpdated(numLocal);
-    sync.broadcastToMirrors<double>(value, allMasters, mirrorUpdated);
-    const double globalDelta = net.allReduceMax(me, localDelta);
+    const double globalDelta =
+        net.allReduceMax(me, kernel.superstep(sync, value));
     return iter + 1 < params.maxIterations && globalDelta >= params.tolerance;
   }
 
@@ -186,8 +94,7 @@ struct PageRankProgram {
   const DistGraph& part;
   SyncContext sync;
   PageRankParams params;
-  std::vector<uint64_t> degree;
-  DynamicBitset allMasters;
+  detail::PageRankKernel kernel;
 };
 
 void atomicMax(std::atomic<uint32_t>& target, uint32_t value) {
@@ -416,8 +323,9 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
           if (options.cancel) {
             options.cancel->check("superstep " + std::to_string(s));
           }
-          obs::ScopedSpan stepSpan(obsSink.trace.get(), me,
-                                   "superstep " + std::to_string(s));
+          obs::ScopedSpan stepSpan(
+              obsSink.trace.get(), me,
+              detail::superstepSpanName(obsSink.trace.get(), s));
           if (superstepsCtr != nullptr) {
             superstepsCtr->add();
             frontierHist->observe(static_cast<double>(frontier.count()));

@@ -15,6 +15,7 @@
 #include "analytics/algorithms.h"
 #include "analytics/engine.h"
 #include "analytics/reference.h"
+#include "analytics/resilient.h"
 #include "core/partitioner.h"
 #include "core/policies.h"
 #include "graph/generators.h"
@@ -155,17 +156,16 @@ TEST(ReferenceTriangles, HandCheckedCounts) {
 
 using AlgoParam = std::tuple<std::string, std::string, uint32_t>;
 
-class AnalyticsSweep : public ::testing::TestWithParam<AlgoParam> {
- protected:
-  graph::CsrGraph graphFor(const std::string& name) {
-    for (auto& named : testutil::testGraphCatalog()) {
-      if (named.name == name) {
-        return std::move(named.graph);
-      }
+graph::CsrGraph graphFor(const std::string& name) {
+  for (auto& named : testutil::testGraphCatalog()) {
+    if (named.name == name) {
+      return std::move(named.graph);
     }
-    throw std::runtime_error("unknown test graph " + name);
   }
-};
+  throw std::runtime_error("unknown test graph " + name);
+}
+
+class AnalyticsSweep : public ::testing::TestWithParam<AlgoParam> {};
 
 TEST_P(AnalyticsSweep, BfsMatchesReference) {
   const auto& [policy, graphName, hosts] = GetParam();
@@ -251,6 +251,98 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_h" +
              std::to_string(std::get<2>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Exactness guards for the superstep kernels: the resilient driver runs the
+// same kernels as the plain one, so a fault-free resilient run must equal
+// the plain run exactly (pagerank included: same summation order, same
+// doubles), and pagerank's sync traffic is pinned to the values the
+// per-edge dirty-bit scatter produced.
+// ---------------------------------------------------------------------------
+
+class ResilientMatchesPlain : public AnalyticsSweep {};
+
+TEST_P(ResilientMatchesPlain, Bfs) {
+  const auto& [policy, graphName, hosts] = GetParam();
+  const graph::CsrGraph g = graphFor(graphName);
+  const uint64_t source = analytics::maxOutDegreeNode(g);
+  const auto parts = partitions(g, policy, hosts);
+  EXPECT_EQ(analytics::runBfsResilient(parts, source, {}),
+            analytics::runBfs(parts, source));
+}
+
+TEST_P(ResilientMatchesPlain, Sssp) {
+  const auto& [policy, graphName, hosts] = GetParam();
+  const graph::CsrGraph g =
+      graph::withRandomWeights(graphFor(graphName), 20, 91);
+  const uint64_t source = analytics::maxOutDegreeNode(g);
+  const auto parts = partitions(g, policy, hosts);
+  EXPECT_EQ(analytics::runSsspResilient(parts, source, {}),
+            analytics::runSssp(parts, source));
+}
+
+TEST_P(ResilientMatchesPlain, Cc) {
+  const auto& [policy, graphName, hosts] = GetParam();
+  const graph::CsrGraph g = graphFor(graphName).symmetrized();
+  const auto parts = partitions(g, policy, hosts);
+  EXPECT_EQ(analytics::runCcResilient(parts, {}), analytics::runCc(parts));
+}
+
+TEST_P(ResilientMatchesPlain, PageRank) {
+  const auto& [policy, graphName, hosts] = GetParam();
+  const graph::CsrGraph g = graphFor(graphName);
+  const auto parts = partitions(g, policy, hosts);
+  const analytics::PageRankParams params;
+  EXPECT_EQ(analytics::runPageRankResilient(parts, params, {}),
+            analytics::runPageRank(parts, params));
+}
+
+std::vector<AlgoParam> resilientParams() {
+  std::vector<AlgoParam> params;
+  for (const auto& policy : core::extendedPolicyCatalog()) {
+    for (const std::string graphName : {"rmat8", "web400"}) {
+      for (uint32_t hosts : {1u, 2u, 3u, 7u}) {
+        params.emplace_back(policy, graphName, hosts);
+      }
+    }
+  }
+  return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, ResilientMatchesPlain, ::testing::ValuesIn(resilientParams()),
+    [](const ::testing::TestParamInfo<AlgoParam>& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_h" +
+             std::to_string(std::get<2>(info.param));
+    });
+
+TEST(PageRankSync, RoundsAndTrafficArePinned) {
+  struct Pinned {
+    std::string graph;
+    std::string policy;
+    uint32_t rounds;
+    uint64_t syncBytes;
+    uint64_t syncMessages;
+  };
+  // Captured from the per-edge dirty-bit scatter (4 hosts, default
+  // params, default aggregation).
+  const std::vector<Pinned> pinned = {
+      {"rmat8", "CVC", 41, 249996, 672},
+      {"rmat8", "HVC", 41, 385056, 1008},
+      {"web400", "CVC", 16, 169136, 272},
+      {"web400", "HVC", 16, 209712, 408},
+  };
+  for (const Pinned& want : pinned) {
+    const auto parts = partitions(graphFor(want.graph), want.policy, 4);
+    analytics::RunStats stats;
+    analytics::runPageRank(parts, {}, &stats);
+    EXPECT_EQ(stats.rounds, want.rounds) << want.graph << " " << want.policy;
+    EXPECT_EQ(stats.syncBytes, want.syncBytes)
+        << want.graph << " " << want.policy;
+    EXPECT_EQ(stats.syncMessages, want.syncMessages)
+        << want.graph << " " << want.policy;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // SyncContext in isolation: a hand-built two-host partition with one shared
