@@ -316,6 +316,18 @@ TEST_P(BufferedDifferential, PacketCapDoesNotChangeOutcome) {
   expectSameOutcome(legacy, huge);
 }
 
+// Seal-every-message (packetBytes = 0: every commit ships as its own
+// packet on the spot) must reproduce the unaggregated path exactly, so it
+// can stand in for it once the on/off switch is gone.
+TEST_P(BufferedDifferential, SealEveryMessageMatchesUnaggregated) {
+  const uint64_t seed = GetParam();
+  const RunOutcome legacy =
+      runDifferential(seed, AggregationPolicy{.enabled = false});
+  const RunOutcome sealed = runDifferential(
+      seed, AggregationPolicy{.enabled = true, .packetBytes = 0});
+  expectSameOutcome(legacy, sealed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferedDifferential,
                          ::testing::Range<uint64_t>(1, 19));
 
