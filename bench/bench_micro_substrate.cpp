@@ -132,20 +132,22 @@ BENCHMARK(BM_BufferedSend)
     ->Arg(256 << 10)
     ->UseRealTime();
 
-// Per-message overhead of the send hot path, legacy vs aggregated: 64k
-// 8-byte records each committed as its OWN message (threshold 0, the
-// worst case BM_BufferedSend ablates). Legacy ships every record through
-// sendReliable — one mailbox lock and one condvar wake per record. The
-// aggregated path stages records in the per-destination channel and seals
-// ~1400-byte packets, so the mailbox is locked and the receiver woken
-// once per ~170 records. Arg(0) = legacy, Arg(1) = buffered.
+// Per-message overhead of the send hot path, seal-every-message vs the
+// default packet cap: 64k 8-byte records each committed as its OWN message
+// (threshold 0, the worst case BM_BufferedSend ablates). With packetBytes
+// 0 every record ships as its own packet — one mailbox lock and one
+// condvar wake per record. The default stages records in the
+// per-destination channel and seals ~1400-byte packets, so the mailbox is
+// locked and the receiver woken once per ~170 records. Arg(0) =
+// seal-every-message, Arg(1) = default.
 void BM_PerMessageSendPath(benchmark::State& state) {
-  const bool buffered = state.range(0) != 0;
-  comm::ScopedAggregation scoped(
-      comm::AggregationPolicy{.enabled = buffered});
+  const comm::AggregationPolicy policy =
+      state.range(0) != 0 ? comm::AggregationPolicy{}
+                          : comm::AggregationPolicy{.packetBytes = 0};
   const uint64_t records = 1 << 16;
   for (auto _ : state) {
     comm::Network net(2);
+    net.setAggregation(policy);
     comm::runHosts(net, [&](comm::HostId me) {
       if (me == 0) {
         comm::BufferedSender sender(net, 0, comm::kTagEdgeBatch, 0);

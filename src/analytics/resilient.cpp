@@ -213,9 +213,7 @@ std::vector<T> runResilientImpl(std::span<const DistGraph> partitions,
     }
     ++report.attempts;
     comm::Network net(k, options.costModel);
-    if (options.aggregation) {
-      net.setAggregation(*options.aggregation);
-    }
+    net.setAggregation(options.aggregation);
     if (injector) {
       net.setFaultInjector(injector);
     }

@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -89,9 +88,8 @@ struct ResilienceOptions {
 
   comm::NetworkCostModel costModel;
 
-  // Send-aggregation override for the attempt networks; unset = the
-  // process-wide default (comm::defaultAggregation()).
-  std::optional<comm::AggregationPolicy> aggregation;
+  // Send aggregation for the attempt networks (comm::AggregationPolicy).
+  comm::AggregationPolicy aggregation;
 
   // Cooperative cancellation (support/cancel.h), mirroring
   // core::ResilienceConfig: checked before every attempt and at each

@@ -70,8 +70,8 @@ enum class FaultAction : uint8_t {
   kDrop,       // message never delivered; the sender observes the loss
   kDuplicate,  // a second copy is delivered; receivers must deduplicate
   kDelay,      // delivery deferred by `delayScans` receiver scan cycles
-  kCorrupt,    // deterministic byte flip on the framed payload in flight;
-               // caught by the CRC32 frame check at the receiving mailbox
+  kCorrupt,    // the framed payload is damaged in flight and fails the
+               // CRC32 frame check at the receiving mailbox
 };
 
 // Matches the `occurrence`-th (0-based) cross-host send seen with this

@@ -54,21 +54,10 @@ void countPartitionEvent(const char* which, HostId host) {
   }
 }
 
-// Process-wide aggregation default, snapshotted by every Network at
-// construction (see setAggregation for per-instance overrides).
-std::mutex gAggregationMutex;
-AggregationPolicy gAggregationDefault{};
-
 }  // namespace
 
-void setDefaultAggregation(const AggregationPolicy& policy) {
-  std::lock_guard<std::mutex> lock(gAggregationMutex);
-  gAggregationDefault = policy;
-}
-
-AggregationPolicy defaultAggregation() {
-  std::lock_guard<std::mutex> lock(gAggregationMutex);
-  return gAggregationDefault;
+void Network::throwOutOfRange(const char* what) {
+  throw std::out_of_range(std::string(what) + ": host id out of range");
 }
 
 Network::Network(uint32_t numHosts, NetworkCostModel costModel)
@@ -87,7 +76,6 @@ Network::Network(uint32_t numHosts, NetworkCostModel costModel)
     alive_.push_back(std::make_unique<std::atomic<bool>>(true));
   }
   suspected_.assign(numHosts, std::vector<bool>(numHosts, false));
-  agg_ = defaultAggregation();
   aggChannels_.reserve(static_cast<size_t>(numHosts) * numHosts);
   for (size_t i = 0; i < static_cast<size_t>(numHosts) * numHosts; ++i) {
     aggChannels_.push_back(std::make_unique<detail::AggChannel>());
@@ -142,9 +130,7 @@ MembershipView Network::membershipSnapshot() const {
 }
 
 void Network::evict(HostId host) {
-  if (host >= numHosts()) {
-    throw std::out_of_range("Network::evict: host id out of range");
-  }
+  checkHost("Network::evict", host);
   {
     std::lock_guard<std::mutex> lock(membershipMutex_);
     if (!alive_[host]->load(std::memory_order_acquire)) {
@@ -217,9 +203,8 @@ void Network::evict(HostId host) {
 }
 
 bool Network::linkReachable(HostId me, HostId peer) const {
-  if (me >= numHosts() || peer >= numHosts()) {
-    throw std::out_of_range("Network::linkReachable: host id out of range");
-  }
+  checkHost("Network::linkReachable", me);
+  checkHost("Network::linkReachable", peer);
   if (me == peer) {
     return true;
   }
@@ -394,91 +379,10 @@ MembershipView Network::agreeMembership(HostId me) {
 }
 
 double Network::modeledCommSeconds(HostId host) const {
+  checkHost("Network::modeledCommSeconds", host);
   return static_cast<double>(
              modeledCommNanos_[host]->load(std::memory_order_relaxed)) *
          1e-9;
-}
-
-bool Network::send(HostId from, HostId to, Tag tag,
-                   support::SendBuffer&& buffer) {
-  if (from >= numHosts() || to >= numHosts()) {
-    throw std::out_of_range("Network::send: host id out of range");
-  }
-  if (!isAlive(to) || !isAlive(from)) {
-    // An evicted host never answers and never speaks: fail fast with the
-    // structured error instead of burning the retry budget (sendReliable
-    // does not catch this) or waiting out a recv timeout on the other side.
-    throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
-  }
-  if (injector_) {
-    injector_->onCrossing(from);  // may throw HostFailure
-  }
-  chargeModeled(from, to, tag, buffer.size());
-  std::optional<FaultInjector::SendDecision> decision;
-  if (injector_ && from != to) {
-    decision = injector_->onSend(from, to, tag);
-  }
-  if (decision && decision->action == FaultAction::kDrop) {
-    return false;  // sender-visible loss; no volume accounted
-  }
-  // CRC framing: wrap the payload in a CRC32 footer, let an injected
-  // corruption flip a byte of the framed message in flight, and verify the
-  // frame at the mailbox boundary (the receiver NIC). The frame is stripped
-  // before the payload is queued, so the receive path never sees footers.
-  std::vector<uint8_t> wire = buffer.release();
-  const size_t payloadBytes = wire.size();
-  const bool framed = from != to && crcFraming_.load(std::memory_order_relaxed);
-  if (framed) {
-    support::appendCrcFooter(wire);
-    if (decision && decision->action == FaultAction::kCorrupt) {
-      // Deterministic in-flight byte flip: position derived from the message
-      // identity so a given plan replays identically.
-      const uint64_t h = support::hashU64(
-          (static_cast<uint64_t>(from) << 48) ^
-          (static_cast<uint64_t>(to) << 32) ^
-          (static_cast<uint64_t>(tag) << 8) ^ wire.size());
-      wire[h % wire.size()] ^= 0xA5;
-    }
-  }
-  accountSend(from, to, tag, payloadBytes,
-              framed ? wire.size() - payloadBytes : 0);
-  if (framed) {
-    // We framed this message ourselves, so anything but kVerified — a bad
-    // checksum, or a footer whose magic the flip destroyed — is detected
-    // corruption: discard the frame and NACK the sender.
-    if (support::verifyAndStripCrcFooter(wire) !=
-        support::CrcFooterStatus::kVerified) {
-      volume_.corruptionsDetected.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.corruptionsDetected != nullptr) {
-        obs_.corruptionsDetected->add();
-      }
-      throw MessageCorrupt(from, to, tag);
-    }
-  }
-  Mailbox& box = *mailboxes_[to];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    const size_t payloadLen = wire.size();
-    Queued entry;
-    entry.msg = Message{from, tag, support::RecvBuffer(std::move(wire))};
-    if (injector_) {
-      ChannelState& channel = box.channels[{from, tag}];
-      entry.seq = ++channel.nextSeq;
-      channel.lastUse = ++box.channelUseCounter;
-      compactChannelsLocked(box);
-      if (decision && decision->action == FaultAction::kDelay) {
-        entry.delayScans = std::max(1u, decision->delayScans);
-      }
-    }
-    if (decision && decision->action == FaultAction::kDuplicate) {
-      box.queue.push_back(entry);  // same seq: the filter suppresses one copy
-      backlogBytes_.fetch_add(payloadLen, std::memory_order_relaxed);
-    }
-    box.queue.push_back(std::move(entry));
-    backlogBytes_.fetch_add(payloadLen, std::memory_order_relaxed);
-  }
-  box.arrived.notify_all();
-  return true;
 }
 
 void Network::chargeModeled(HostId from, HostId to, Tag tag, size_t bytes) {
@@ -501,42 +405,80 @@ void Network::chargeModeled(HostId from, HostId to, Tag tag, size_t bytes) {
   }
 }
 
-void Network::sendReliable(HostId from, HostId to, Tag tag,
-                           support::SendBuffer&& buffer) {
-  if (!injector_) {
-    send(from, to, tag, std::move(buffer));
-    return;
+// --- the send path ---------------------------------------------------------
+
+Network::Attempt Network::attemptOnce(HostId from, HostId to, Tag tag,
+                                      size_t len, bool soloFrame) {
+  if (!isAlive(to) || !isAlive(from)) {
+    // An evicted host never answers and never speaks: fail fast with the
+    // structured error instead of burning the retry budget (the retry loop
+    // does not catch this) or waiting out a recv timeout on the other side.
+    throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
   }
-  const uint32_t attempts = std::max(1u, retryPolicy_.maxAttempts);
+  if (injector_) {
+    injector_->onCrossing(from);  // may throw HostFailure
+  }
+  chargeModeled(from, to, tag, len);
+  std::optional<FaultInjector::SendDecision> decision;
+  if (injector_ && from != to) {
+    decision = injector_->onSend(from, to, tag);
+  }
+  Attempt out;
+  if (decision && decision->action == FaultAction::kDrop) {
+    out.outcome = Attempt::kDropped;  // sender-visible loss; nothing accounted
+    return out;
+  }
+  if (decision && decision->action == FaultAction::kCorrupt &&
+      crcFraming()) {
+    // The framed transmission is damaged in flight and fails the frame
+    // check at the receiving mailbox (CRC32 catches every single-byte
+    // flip, so the draw alone decides). The burned transmission is
+    // accounted with its own footer, then NACKed to the sender.
+    accountSend(from, to, tag, len, support::kCrcFooterSize);
+    volume_.corruptionsDetected.fetch_add(1, std::memory_order_relaxed);
+    if (obs_.corruptionsDetected != nullptr) {
+      obs_.corruptionsDetected->add();
+    }
+    out.outcome = Attempt::kCorrupt;
+    return out;
+  }
+  if (decision && decision->action == FaultAction::kDelay) {
+    out.delivery.delayScans = std::max(1u, decision->delayScans);
+  }
+  out.delivery.duplicate =
+      decision && decision->action == FaultAction::kDuplicate;
+  // A solo frame carries its own CRC footer; a packed message's framing is
+  // accounted once per packet when the packet ships.
+  const bool framed = soloFrame && from != to && crcFraming();
+  accountSend(from, to, tag, len, framed ? support::kCrcFooterSize : 0);
+  return out;
+}
+
+detail::Delivery Network::transmit(HostId from, HostId to, Tag tag,
+                                   size_t len, bool soloFrame) {
+  // Without an injector nothing is ever lost, so one attempt suffices.
+  const uint32_t attempts =
+      injector_ ? std::max(1u, retryPolicy_.maxAttempts) : 1;
   bool sawCorruption = false;
   for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
     const bool last = attempt + 1 == attempts;
-    support::SendBuffer offer;
-    if (last) {
-      offer = std::move(buffer);
-    } else {
-      offer.appendBytes(buffer.data(), buffer.size());
-    }
-    bool delivered = false;
-    try {
-      delivered = send(from, to, tag, std::move(offer));
-    } catch (const MessageCorrupt&) {
-      // The frame failed verification at the receiving mailbox (a link-layer
-      // NACK). Retransmit a clean copy like a drop; each retry is a new
-      // occurrence for the injector, so single-shot faults do not re-fire.
-      if (last) {
-        throw;  // retry budget spent; surface the structured error
-      }
-      sawCorruption = true;
-    }
-    if (delivered) {
+    const Attempt sent = attemptOnce(from, to, tag, len, soloFrame);
+    if (sent.outcome == Attempt::kDelivered) {
       if (sawCorruption) {
         volume_.corruptionsRecovered.fetch_add(1, std::memory_order_relaxed);
         if (obs_.corruptionsRecovered != nullptr) {
           obs_.corruptionsRecovered->add();
         }
       }
-      return;
+      return sent.delivery;
+    }
+    if (sent.outcome == Attempt::kCorrupt) {
+      if (last) {
+        throw MessageCorrupt(from, to, tag);  // retry budget spent
+      }
+      // Retransmit a clean copy like a drop; each retry is a new occurrence
+      // for the injector, so single-shot faults do not re-fire.
+      sawCorruption = true;
     }
     if (!last) {
       injector_->countRetry();
@@ -572,97 +514,71 @@ void Network::sendReliable(HostId from, HostId to, Tag tag,
   throw SendRetriesExhausted(from, to, tag, attempts);
 }
 
-// --- send aggregation ------------------------------------------------------
-
-void Network::packedCommitDraws(HostId from, HostId to, Tag tag, size_t len,
-                                uint32_t* delayScans, bool* duplicate) {
-  *delayScans = 0;
-  *duplicate = false;
-  if (!injector_) {
-    if (!isAlive(to) || !isAlive(from)) {
-      throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
-    }
-    chargeModeled(from, to, tag, len);
-    accountSend(from, to, tag, len, 0);
-    return;
+void Network::enqueueLocked(Mailbox& box, Message&& msg,
+                            const detail::Delivery& delivery) {
+  const size_t len = msg.payload.size();
+  Queued entry;
+  entry.msg = std::move(msg);
+  if (injector_) {
+    ChannelState& channel = box.channels[{entry.msg.from, entry.msg.tag}];
+    entry.seq = ++channel.nextSeq;
+    channel.lastUse = ++box.channelUseCounter;
+    compactChannelsLocked(box);
+    entry.delayScans = delivery.delayScans;
   }
-  // Replay the legacy sendReliable attempt loop verbatim — same alive
-  // checks, injector draws, cost charges, retry backoff hash and error
-  // surface per attempt — so every historical FaultPlan seed draws the same
-  // sequence whether the message ships packed or bare. Only the mailbox
-  // enqueue is deferred: a delivered draw records its delay/duplicate
-  // outcome in the meta, re-applied at packet-unpack time.
-  const uint32_t attempts = std::max(1u, retryPolicy_.maxAttempts);
-  const bool framed = crcFraming_.load(std::memory_order_relaxed);
-  bool sawCorruption = false;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    const bool last = attempt + 1 == attempts;
-    if (!isAlive(to) || !isAlive(from)) {
-      throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
-    }
-    injector_->onCrossing(from);
-    chargeModeled(from, to, tag, len);
-    const auto decision = injector_->onSend(from, to, tag);
-    bool delivered = false;
-    if (decision && decision->action == FaultAction::kDrop) {
-      // Sender-visible loss; retry below.
-    } else if (framed && decision &&
-               decision->action == FaultAction::kCorrupt) {
-      // The framed attempt fails verification at the receiver NIC: the
-      // burned transmission is accounted with its own footer, then NACKed
-      // and retransmitted (exactly the legacy MessageCorrupt round trip).
-      accountSend(from, to, tag, len, support::kCrcFooterSize);
-      volume_.corruptionsDetected.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.corruptionsDetected != nullptr) {
-        obs_.corruptionsDetected->add();
-      }
-      if (last) {
-        throw MessageCorrupt(from, to, tag);
-      }
-      sawCorruption = true;
-    } else {
-      delivered = true;
-      if (decision && decision->action == FaultAction::kDelay) {
-        *delayScans = std::max(1u, decision->delayScans);
-      }
-      if (decision && decision->action == FaultAction::kDuplicate) {
-        *duplicate = true;
-      }
-      accountSend(from, to, tag, len, 0);
-    }
-    if (delivered) {
-      if (sawCorruption) {
-        volume_.corruptionsRecovered.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.corruptionsRecovered != nullptr) {
-          obs_.corruptionsRecovered->add();
-        }
-      }
-      return;
-    }
-    if (!last) {
-      injector_->countRetry();
-      if (obs_.sendRetries != nullptr) {
-        obs_.sendRetries->add();
-      }
-      const uint64_t jitterHash = support::hashU64(
-          (static_cast<uint64_t>(from) << 48) ^
-          (static_cast<uint64_t>(to) << 32) ^
-          (static_cast<uint64_t>(tag) << 8) ^ attempt);
-      const double jitter =
-          0.5 + static_cast<double>(jitterHash % 1024) / 1024.0;
-      const double backoffMicros =
-          retryPolicy_.backoffMicros * static_cast<double>(1u << attempt) *
-          jitter;
-      if (backoffMicros > 0.0 && from != to && tag < kFirstReserved) {
-        modeledCommNanos_[from]->fetch_add(
-            static_cast<int64_t>(backoffMicros * 1000.0),
-            std::memory_order_relaxed);
-      }
-    }
+  if (delivery.duplicate) {
+    box.queue.push_back(entry);  // same seq: the filter suppresses one copy
+    backlogBytes_.fetch_add(len, std::memory_order_relaxed);
   }
-  enforceQuorumOnFailure(from, to, tag);
-  throw SendRetriesExhausted(from, to, tag, attempts);
+  box.queue.push_back(std::move(entry));
+  backlogBytes_.fetch_add(len, std::memory_order_relaxed);
 }
+
+void Network::deliverSolo(HostId from, HostId to, Tag tag,
+                          std::vector<uint8_t>&& wire,
+                          const detail::Delivery& delivery) {
+  if (from != to && crcFraming()) {
+    // The receiver NIC's frame check. Corruption was decided by the draw,
+    // so a frame that gets here verifies; the footer is stripped before
+    // the payload is queued, so the receive path never sees footers.
+    support::appendCrcFooter(wire);
+    (void)support::verifyAndStripCrcFooter(wire);
+  }
+  Mailbox& box = *mailboxes_[to];
+  {
+    std::lock_guard<std::mutex> lock(box.mutex);
+    enqueueLocked(box, Message{from, tag, support::RecvBuffer(std::move(wire))},
+                  delivery);
+  }
+  box.arrived.notify_all();
+}
+
+bool Network::send(HostId from, HostId to, Tag tag,
+                   support::SendBuffer&& buffer) {
+  checkHost("Network::send", from);
+  checkHost("Network::send", to);
+  const Attempt sent =
+      attemptOnce(from, to, tag, buffer.size(), /*soloFrame=*/true);
+  if (sent.outcome == Attempt::kDropped) {
+    return false;
+  }
+  if (sent.outcome == Attempt::kCorrupt) {
+    throw MessageCorrupt(from, to, tag);
+  }
+  deliverSolo(from, to, tag, buffer.release(), sent.delivery);
+  return true;
+}
+
+void Network::sendReliable(HostId from, HostId to, Tag tag,
+                           support::SendBuffer&& buffer) {
+  checkHost("Network::sendReliable", from);
+  checkHost("Network::sendReliable", to);
+  const detail::Delivery delivery =
+      transmit(from, to, tag, buffer.size(), /*soloFrame=*/true);
+  deliverSolo(from, to, tag, buffer.release(), delivery);
+}
+
+// --- send aggregation ------------------------------------------------------
 
 void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
                                  HostId to, Tag tag, size_t start) {
@@ -679,10 +595,9 @@ void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
     ch.bytes = std::move(tail);
     start = 0;
   }
-  uint32_t delayScans = 0;
-  bool duplicate = false;
+  detail::Delivery delivery;
   try {
-    packedCommitDraws(from, to, tag, len, &delayScans, &duplicate);
+    delivery = transmit(from, to, tag, len, /*soloFrame=*/false);
   } catch (...) {
     // The message never shipped (evicted peer, exhausted retries, terminal
     // corruption): un-stage its bytes so the channel holds only messages
@@ -693,12 +608,7 @@ void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
   if (ch.metas.empty()) {
     ch.oldestStage = std::chrono::steady_clock::now();
   }
-  detail::AggChannel::Meta meta;
-  meta.tag = tag;
-  meta.len = static_cast<uint32_t>(len);
-  meta.delayScans = delayScans;
-  meta.duplicate = duplicate;
-  ch.metas.push_back(meta);
+  ch.metas.push_back({tag, static_cast<uint32_t>(len), delivery});
   aggVolume_.pendingBytes.fetch_add(len, std::memory_order_relaxed);
   setPendingGauge();
   if (support::memoryBudgetAttached()) {
@@ -707,12 +617,7 @@ void Network::finishPackedCommit(detail::AggChannel& ch, HostId from,
     support::memoryBudget()->reserveOverdraft(len);
     ch.chargedBytes += len;
   }
-  if (len > agg_.packetBytes) {
-    aggVolume_.oversizedMessages.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.aggOversized != nullptr) {
-      obs_.aggOversized->add();
-    }
-  }
+  countOversized(len);
   if (ch.bytes.size() >= agg_.packetBytes) {
     flushChannelLocked(ch, from, to, FlushCause::kSize);
   } else if (support::memoryBudgetAttached() &&
@@ -746,10 +651,7 @@ void Network::flushChannel(HostId from, HostId to, FlushCause cause) {
 }
 
 void Network::flushAggregated(HostId me) {
-  if (me >= numHosts()) {
-    throw std::out_of_range(
-        "Network::flushAggregated: host id out of range");
-  }
+  checkHost("Network::flushAggregated", me);
   for (HostId to = 0; to < numHosts(); ++to) {
     if (to != me) {
       flushChannel(me, to, FlushCause::kBarrier);
@@ -806,9 +708,9 @@ void Network::deliverPacket(HostId from, HostId to,
     }
   }
   // Unpack into the destination mailbox under one lock acquisition: every
-  // message gets a zero-copy view over the shared packet blob, its own
-  // dup-filter sequence number and its recorded delay/duplicate outcome —
-  // then ONE wake for the whole packet.
+  // message gets a zero-copy view over the shared packet blob and goes
+  // through the same enqueue as a solo frame — then ONE wake for the whole
+  // packet.
   auto blobPtr =
       std::make_shared<const std::vector<uint8_t>>(std::move(blob));
   Mailbox& box = *mailboxes_[to];
@@ -816,23 +718,11 @@ void Network::deliverPacket(HostId from, HostId to,
     std::lock_guard<std::mutex> lock(box.mutex);
     size_t offset = 0;
     for (const auto& meta : metas) {
-      Queued entry;
-      entry.msg = Message{from, meta.tag,
-                          support::RecvBuffer(blobPtr, offset, meta.len)};
+      enqueueLocked(box,
+                    Message{from, meta.tag,
+                            support::RecvBuffer(blobPtr, offset, meta.len)},
+                    meta.delivery);
       offset += meta.len;
-      if (injector_) {
-        ChannelState& channel = box.channels[{from, meta.tag}];
-        entry.seq = ++channel.nextSeq;
-        channel.lastUse = ++box.channelUseCounter;
-        compactChannelsLocked(box);
-        entry.delayScans = meta.delayScans;
-      }
-      if (meta.duplicate) {
-        box.queue.push_back(entry);  // same seq: the filter suppresses one
-        backlogBytes_.fetch_add(meta.len, std::memory_order_relaxed);
-      }
-      box.queue.push_back(std::move(entry));
-      backlogBytes_.fetch_add(meta.len, std::memory_order_relaxed);
     }
   }
   box.arrived.notify_all();
@@ -856,9 +746,8 @@ void Network::pullAgedIncoming(HostId me) {
 
 void Network::sendPacked(HostId from, HostId to, Tag tag,
                          support::SendBuffer&& buffer) {
-  if (from >= numHosts() || to >= numHosts()) {
-    throw std::out_of_range("Network::sendPacked: host id out of range");
-  }
+  checkHost("Network::sendPacked", from);
+  checkHost("Network::sendPacked", to);
   if (!aggregatesTag(from, to, tag)) {
     sendReliable(from, to, tag, std::move(buffer));
     return;
@@ -870,21 +759,11 @@ void Network::sendPacked(HostId from, HostId to, Tag tag,
     // a packet blob of its own — no copy through the channel.
     flushChannelLocked(ch, from, to, FlushCause::kSize);
     const size_t len = buffer.size();
-    uint32_t delayScans = 0;
-    bool duplicate = false;
-    packedCommitDraws(from, to, tag, len, &delayScans, &duplicate);
-    if (len > agg_.packetBytes) {
-      aggVolume_.oversizedMessages.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.aggOversized != nullptr) {
-        obs_.aggOversized->add();
-      }
-    }
-    std::vector<detail::AggChannel::Meta> metas(1);
-    metas[0].tag = tag;
-    metas[0].len = static_cast<uint32_t>(len);
-    metas[0].delayScans = delayScans;
-    metas[0].duplicate = duplicate;
-    deliverPacket(from, to, buffer.release(), std::move(metas),
+    const detail::Delivery delivery =
+        transmit(from, to, tag, len, /*soloFrame=*/false);
+    countOversized(len);
+    deliverPacket(from, to, buffer.release(),
+                  {{tag, static_cast<uint32_t>(len), delivery}},
                   FlushCause::kSize);
     return;
   }
@@ -915,6 +794,15 @@ void Network::setPendingGauge() {
   if (obs_.aggPendingBytes != nullptr) {
     obs_.aggPendingBytes->set(static_cast<double>(
         aggVolume_.pendingBytes.load(std::memory_order_relaxed)));
+  }
+}
+
+void Network::countOversized(size_t len) {
+  if (len > agg_.packetBytes) {
+    aggVolume_.oversizedMessages.fetch_add(1, std::memory_order_relaxed);
+    if (obs_.aggOversized != nullptr) {
+      obs_.aggOversized->add();
+    }
   }
 }
 
@@ -990,9 +878,7 @@ void Network::compactChannelsLocked(Mailbox& box) {
 }
 
 size_t Network::dupFilterChannels(HostId me) const {
-  if (me >= numHosts()) {
-    throw std::out_of_range("Network::dupFilterChannels: host id out of range");
-  }
+  checkHost("Network::dupFilterChannels", me);
   Mailbox& box = *mailboxes_[me];
   std::lock_guard<std::mutex> lock(box.mutex);
   return box.channels.size();
@@ -1076,6 +962,10 @@ HostId Network::chaseBlame(HostId me, HostId from) const {
 }
 
 Message Network::recvImpl(HostId me, Tag tag, HostId from) {
+  checkHost("Network::recv", me);
+  if (from != kAnyHost) {
+    checkHost("Network::recvFrom", from);
+  }
   if (!isAlive(me) || (from != kAnyHost && !isAlive(from))) {
     throw HostEvicted(me, isAlive(me) ? from : me, tag, membershipEpoch());
   }
@@ -1235,6 +1125,7 @@ Message Network::recvImpl(HostId me, Tag tag, HostId from) {
 }
 
 std::optional<Message> Network::tryRecv(HostId me, Tag tag) {
+  checkHost("Network::tryRecv", me);
   if (injector_) {
     injector_->onCrossing(me);
   }
@@ -1269,11 +1160,9 @@ void Network::barrier(HostId me) {
   // host — 0 on full membership) using reserved tags; payloads are empty so
   // barriers contribute only message counts to collective stats.
   faultPoint(me);
-  if (agg_.enabled) {
-    // A barrier is a phase edge: everything committed before it must be
-    // visible after it, so ship every pending aggregation channel first.
-    flushAggregated(me);
-  }
+  // A barrier is a phase edge: everything committed before it must be
+  // visible after it, so ship every pending aggregation channel first.
+  flushAggregated(me);
   if (numAliveHosts() <= 1) {
     return;
   }

@@ -37,11 +37,12 @@
 //    verified at the receiving mailbox — the simulation's equivalent of the
 //    receiver NIC's frame check — and stripped before the payload is
 //    queued, so applications always see verified bytes.
-//  * An injected kCorrupt fault flips a deterministic byte of the framed
-//    message in flight. The verification failure discards the frame and
-//    surfaces on the sender as MessageCorrupt (a link-layer NACK);
-//    sendReliable retransmits a clean copy transparently. Detected and
-//    retry-recovered corruptions are counted in VolumeStats.
+//  * An injected kCorrupt fault damages the framed message in flight. CRC32
+//    catches every single-byte flip, so the injector's draw alone decides
+//    the outcome: the frame is discarded and the loss surfaces on the
+//    sender as MessageCorrupt (a link-layer NACK); the retry loop
+//    retransmits a clean copy transparently. Detected and retry-recovered
+//    corruptions are counted in VolumeStats.
 //  * Framing bytes are accounted separately (VolumeStats::framingBytes) so
 //    per-tag payload accounting stays byte-identical with framing on or
 //    off — and so the framing overhead itself is directly measurable.
@@ -61,29 +62,37 @@
 //    which every alive host exchanges and confirms the (epoch, alive set)
 //    view before the survivors proceed.
 //
-// Send aggregation (the buffered, batched hot path; on by default):
+// The send path (one transmission step, one retry loop, one enqueue):
+//  * Every logical message is transmitted by ATTEMPTS of one step: both
+//    hosts alive, crash crossing, modeled cost, injector draw (none for
+//    self-sends), volume and framing accounting. Bare send() makes one
+//    attempt; sendReliable() and every packed commit run the one retry
+//    loop over it (backoff jitter, corruption recovery, the quorum check at
+//    exhaustion), so a FaultPlan seed draws the same sequence whichever
+//    entry point a message takes.
+//  * A delivered message enters the receiver's mailbox through one enqueue
+//    step (duplicate-filter sequence, delay, injected duplicate, backlog
+//    counter), whether it ships as a solo frame or unpacked from a packet.
+//
+// Send aggregation (the buffered, batched hot path every protocol uses):
 //  * Protocol senders obtain a PackedWriter (packedWriter()) that serializes
 //    RECORDS STRAIGHT INTO the per-(source, destination) aggregation buffer
 //    — no intermediate per-message vector — and commit() seals the record
-//    as one logical message. BufferedSender flushes ride the same path via
-//    sendPacked().
+//    as one logical message: its attempts run right there, and the
+//    delivered draw's delay/duplicate outcome rides along to the unpack.
+//    BufferedSender flushes ride the same path via sendPacked().
 //  * A channel ships as one multi-message PACKET once it reaches
 //    AggregationPolicy::packetBytes (~1400 B, the Gluon buffered.cpp
-//    lineage), when the attached MemoryBudget reports pressure, at every
-//    explicit flush point (flushAggregated(), barrier entry, BufferedSender
-//    ::flushAll(), runHosts exit), or — opt-in — when a blocking receiver
-//    pulls channels older than AggregationPolicy::maxAgeSeconds.
+//    lineage; 0 seals every message as its own packet), when the attached
+//    MemoryBudget reports pressure, at every explicit flush point
+//    (flushAggregated(), barrier entry, BufferedSender::flushAll(),
+//    runHosts exit), or — opt-in — when a blocking receiver pulls channels
+//    older than AggregationPolicy::maxAgeSeconds.
 //  * One CRC32 frames the whole packet (framing = one footer plus an 8-byte
-//    per-message header, accounted in VolumeStats::framingBytes as today);
-//    unpacked messages are zero-copy views into the shared packet blob, and
-//    a drained packet wakes the consumer ONCE, not per message.
-//  * Fault semantics are preserved at message granularity: injector draws
-//    (drop/duplicate/delay/corrupt, crossings, retries, modeled cost and
-//    backoff) happen at commit() time in exactly the per-message order the
-//    legacy sendReliable path used, so every FaultPlan seed keeps its
-//    historical meaning; the duplicate filter, sequence assignment and
-//    delay scans are re-seated at packet-unpack time. Bare send()/
-//    sendReliable() keep the legacy immediate path bit-for-bit.
+//    per-message header, accounted in VolumeStats::framingBytes; a solo
+//    frame carries one footer); unpacked messages are zero-copy views into
+//    the shared packet blob, and a drained packet wakes the consumer ONCE,
+//    not per message.
 #pragma once
 
 #include <atomic>
@@ -214,37 +223,15 @@ struct NetworkCostModel {
   double bandwidthMBps = 0.0;       // per-byte cost; 0 = infinite bandwidth
 };
 
-// Tuning of the buffered send path (see "Send aggregation" above).
+// Tuning of the buffered send path (see "Send aggregation" above). A
+// packetBytes of 0 seals every commit as its own packet (no batching).
 // maxAgeSeconds defaults to 0 (no receiver-side age pull): the default
 // flush causes are all program-order deterministic, which is what keeps the
 // obs counter/histogram determinism guarantee intact. Tests and latency-
 // sensitive callers opt into the age bound explicitly.
 struct AggregationPolicy {
-  bool enabled = true;
   size_t packetBytes = 1400;   // seal a packet once a channel reaches this
   double maxAgeSeconds = 0.0;  // >0: blocked receivers pull channels this old
-};
-
-// Process-wide default applied to every Network at construction (override
-// per instance with setAggregation before traffic starts). The seam lets
-// whole pipelines — partitioner, analytics, service — switch between the
-// buffered and legacy paths without threading a knob through every layer.
-void setDefaultAggregation(const AggregationPolicy& policy);
-AggregationPolicy defaultAggregation();
-
-// RAII seam override for tests (differential buffered-vs-legacy runs).
-class ScopedAggregation {
- public:
-  explicit ScopedAggregation(const AggregationPolicy& policy)
-      : saved_(defaultAggregation()) {
-    setDefaultAggregation(policy);
-  }
-  ~ScopedAggregation() { setDefaultAggregation(saved_); }
-  ScopedAggregation(const ScopedAggregation&) = delete;
-  ScopedAggregation& operator=(const ScopedAggregation&) = delete;
-
- private:
-  AggregationPolicy saved_;
 };
 
 // Why a channel was flushed into a packet.
@@ -276,6 +263,13 @@ struct AggVolume {
 };
 
 namespace detail {
+// The injector's draw for a delivered transmission, applied when the
+// message enters the receiver's mailbox.
+struct Delivery {
+  uint32_t delayScans = 0;  // kDelay: held back for this many receiver scans
+  bool duplicate = false;   // kDuplicate: a second copy is queued
+};
+
 // One ordered (source, destination) aggregation channel: committed message
 // payloads laid back to back plus their per-message metadata. The mutex is
 // held for the lifetime of a PackedWriter (serialization writes straight
@@ -284,8 +278,7 @@ struct AggChannel {
   struct Meta {
     Tag tag = 0;
     uint32_t len = 0;
-    uint32_t delayScans = 0;  // injector kDelay, re-applied at unpack
-    bool duplicate = false;   // injector kDuplicate, re-applied at unpack
+    Delivery delivery;  // drawn at commit, applied at unpack
   };
   std::mutex mutex;
   std::vector<uint8_t> bytes;
@@ -310,28 +303,31 @@ class Network {
 
   // --- point to point ---
 
-  // Moves `buffer` to host `to`'s mailbox. Self-sends are allowed and
-  // delivered like any other message, but are NOT counted in the volume
-  // statistics (no bytes cross the network). Returns false iff the attached
-  // fault injector dropped the message (sender-visible loss); always true
-  // on a fault-free network. With CRC framing on, a message corrupted in
-  // flight fails frame verification at the receiving mailbox and throws
-  // MessageCorrupt (the link-layer NACK sendReliable retries on).
+  // One unretried transmission attempt: moves `buffer` to host `to`'s
+  // mailbox as a solo frame. Self-sends are allowed and delivered like any
+  // other message, but are NOT counted in the volume statistics (no bytes
+  // cross the network). Returns false iff the attached fault injector
+  // dropped the message (sender-visible loss); always true on a fault-free
+  // network. With CRC framing on, a message corrupted in flight fails frame
+  // verification at the receiving mailbox and throws MessageCorrupt (the
+  // link-layer NACK the retry loop retries on). Nothing outside the comm
+  // layer, its tests and its benchmarks calls this: protocol code uses
+  // sendReliable() or the packed path.
   bool send(HostId from, HostId to, Tag tag, support::SendBuffer&& buffer);
 
-  // send() with bounded retry under the network RetryPolicy: a dropped
-  // message is re-offered with modeled exponential backoff charged to the
-  // sender; throws SendRetriesExhausted once the attempts are spent. All
-  // partitioner/engine protocol sends use this.
+  // send() with bounded retry under the network RetryPolicy: a dropped or
+  // corrupted message is re-offered with modeled exponential backoff
+  // charged to the sender; throws SendRetriesExhausted once the attempts
+  // are spent. Ships immediately as a solo frame.
   void sendReliable(HostId from, HostId to, Tag tag,
                     support::SendBuffer&& buffer);
 
   // --- buffered hot path (send aggregation) ---
 
   // Zero-copy buffered send: serialize into the returned writer and
-  // commit(). Falls back to a plain sendReliable when aggregation is
-  // disabled, for self-sends, and for reserved tags, so call sites stay
-  // uniform. See the PackedWriter class below.
+  // commit(). Self-sends and reserved tags fall back to a plain
+  // sendReliable, so call sites stay uniform. See the PackedWriter class
+  // below.
   PackedWriter packedWriter(HostId from, HostId to, Tag tag);
 
   // sendReliable semantics over the aggregation path: `buffer` becomes one
@@ -535,6 +531,7 @@ class Network {
 
   // Accumulated modeled communication time charged to `host` as a sender
   // (cost model applied to every cross-host send with a non-reserved tag).
+  // Throws std::out_of_range for an unknown host.
   double modeledCommSeconds(HostId host) const;
 
   // Bytes sent with `tag` since the last reset (cross-host only).
@@ -602,23 +599,53 @@ class Network {
     uint64_t channelUseCounter = 0;               // LRU clock
   };
 
+  // Throws std::out_of_range naming `what` unless `h` is a host id.
+  void checkHost(const char* what, HostId h) const {
+    if (h >= numHosts()) {
+      throwOutOfRange(what);
+    }
+  }
+  [[noreturn]] static void throwOutOfRange(const char* what);
+
   Message recvImpl(HostId me, Tag tag, HostId from);
+
+  // --- the send path ---
+  struct Attempt {
+    enum Outcome : uint8_t { kDelivered, kDropped, kCorrupt };
+    Outcome outcome = kDelivered;
+    detail::Delivery delivery;  // meaningful when delivered
+  };
+  // One transmission attempt of a `len`-byte message: alive check (throws
+  // HostEvicted), crash crossing, modeled cost, injector draw (skipped for
+  // self-sends), and volume accounting — with a CRC footer for a delivered
+  // solo frame or a corrupted framed attempt. Enqueues nothing.
+  Attempt attemptOnce(HostId from, HostId to, Tag tag, size_t len,
+                      bool soloFrame);
+  // The retry loop over attemptOnce: backoff jitter, corruption recovery,
+  // and the quorum check at exhaustion. Returns the delivered attempt's
+  // draw; throws SendRetriesExhausted, MessageCorrupt, MinorityPartition
+  // or whatever an attempt throws.
+  detail::Delivery transmit(HostId from, HostId to, Tag tag, size_t len,
+                            bool soloFrame);
+  // Appends one delivered message to `box` (box.mutex held): dup-filter
+  // sequence and compaction, delay, injected duplicate, backlog counter.
+  void enqueueLocked(Mailbox& box, Message&& msg,
+                     const detail::Delivery& delivery);
+  // Frames (when CRC framing is on), enqueues and wakes the receiver.
+  void deliverSolo(HostId from, HostId to, Tag tag,
+                   std::vector<uint8_t>&& wire,
+                   const detail::Delivery& delivery);
+
   // --- aggregation internals ---
   detail::AggChannel& aggChannel(HostId from, HostId to) {
     return *aggChannels_[static_cast<size_t>(from) * numHosts() + to];
   }
   bool aggregatesTag(HostId from, HostId to, Tag tag) const {
-    return agg_.enabled && from != to && tag < kFirstReserved;
+    return from != to && tag < kFirstReserved;
   }
-  // Models one reliable transmission of a committed message: the exact
-  // injector-draw / cost / retry / corruption sequence of the legacy
-  // sendReliable path, minus the enqueue. Fills delayScans/duplicate for
-  // the unpack step; throws exactly what sendReliable would.
-  void packedCommitDraws(HostId from, HostId to, Tag tag, size_t len,
-                         uint32_t* delayScans, bool* duplicate);
-  // Seals a commit staged at ch.bytes[start..): runs the draws, appends the
-  // meta and fires size/pressure flushes. ch.mutex held; rolls the staged
-  // bytes back on any throw.
+  // Seals a commit staged at ch.bytes[start..): runs the retry loop,
+  // appends the meta and fires size/pressure flushes. ch.mutex held; rolls
+  // the staged bytes back on any throw.
   void finishPackedCommit(detail::AggChannel& ch, HostId from, HostId to,
                           Tag tag, size_t start);
   // Ships the channel's pending packet (ch.mutex held). No-op when empty.
@@ -626,8 +653,8 @@ class Network {
                           FlushCause cause);
   void flushChannel(HostId from, HostId to, FlushCause cause);
   // Delivers one sealed packet into `to`'s mailbox: per-packet CRC framing
-  // accounting, per-message sequence/duplicate/delay re-seating under the
-  // mailbox lock, one condition-variable wake for the whole packet.
+  // accounting, one enqueue per message under the mailbox lock, one
+  // condition-variable wake for the whole packet.
   void deliverPacket(HostId from, HostId to, std::vector<uint8_t>&& blob,
                      std::vector<detail::AggChannel::Meta>&& metas,
                      FlushCause cause);
@@ -635,11 +662,10 @@ class Network {
   // channel destined to `me` whose oldest committed message exceeds the
   // age bound. Called with no locks held.
   void pullAgedIncoming(HostId me);
-  bool agePullActive() const {
-    return agg_.enabled && agg_.maxAgeSeconds > 0.0;
-  }
+  bool agePullActive() const { return agg_.maxAgeSeconds > 0.0; }
   void chargeModeled(HostId from, HostId to, Tag tag, size_t bytes);
   void setPendingGauge();
+  void countOversized(size_t len);  // a message over the packet cap
   // Records that `me` observed a connectivity failure toward `peer` (send
   // retries exhausted, or a stalled wait on that specific peer).
   void noteSuspect(HostId me, HostId peer);
@@ -753,13 +779,12 @@ class Network {
 // (from, to) aggregation channel — the channel mutex is held for the
 // writer's lifetime, so keep writers short-lived: serialize, commit,
 // destroy. commit() seals the staged bytes as one logical message, running
-// the full reliable-send fault sequence (and throwing exactly what
-// sendReliable would); a writer destroyed without commit() abandons its
-// staged bytes. When the network aggregation is disabled — or for
-// self-sends and reserved tags — the writer transparently stages into a
-// private buffer and commit() forwards to sendReliable, so call sites need
-// no mode checks. At most one live writer per (host, destination) per
-// thread; a second one would self-deadlock on the channel mutex.
+// the same retry loop as sendReliable (and throwing exactly what it
+// would); a writer destroyed without commit() abandons its staged bytes.
+// For self-sends and reserved tags the writer stages into a private buffer
+// and commit() forwards to sendReliable, so call sites need no special
+// cases. At most one live writer per (host, destination) per thread; a
+// second one would self-deadlock on the channel mutex.
 class PackedWriter {
  public:
   PackedWriter(PackedWriter&&) = delete;  // constructed in place (RVO)
@@ -816,7 +841,7 @@ class PackedWriter {
   HostId from_;
   HostId to_;
   Tag tag_;
-  detail::AggChannel* channel_;  // null => fallback (legacy) mode
+  detail::AggChannel* channel_;  // null => private buffer + sendReliable
   std::unique_lock<std::mutex> lock_;
   size_t start_ = 0;
   bool committed_ = false;
@@ -824,9 +849,8 @@ class PackedWriter {
 };
 
 inline PackedWriter Network::packedWriter(HostId from, HostId to, Tag tag) {
-  if (from >= numHosts() || to >= numHosts()) {
-    throw std::out_of_range("Network::packedWriter: host id out of range");
-  }
+  checkHost("Network::packedWriter", from);
+  checkHost("Network::packedWriter", to);
   return PackedWriter(*this, from, to, tag,
                       aggregatesTag(from, to, tag) ? &aggChannel(from, to)
                                                    : nullptr);
@@ -837,9 +861,8 @@ inline PackedWriter Network::packedWriter(HostId from, HostId to, Tag tag) {
 // (paper Section IV-D3; threshold 0 sends every record immediately, the
 // "0 MB" point of Fig. 7). flushAll() must be called to drain remainders;
 // it also drains this host's aggregation channels, so everything shipped
-// is visible to receivers when it returns. Flushes go through the
-// sendPacked aggregation path (sendReliable when aggregation is disabled),
-// so injected drops are retried either way.
+// is visible to receivers when it returns. Flushes go through sendPacked,
+// so injected drops are retried.
 //
 // Memory-governed: when a process-wide MemoryBudget is attached at
 // construction time, the sender charges its pending aggregation bytes

@@ -1419,34 +1419,44 @@ std::shared_ptr<comm::FaultInjector> makeInjector(
   return std::make_shared<comm::FaultInjector>(*plan);
 }
 
-// One full pipeline run over a fresh Network. The injector is passed in
-// (rather than built here) so recovery attempts share it: occurrence
-// counters and fired-crash flags persist, and a rebooted host does not
-// re-crash on replay. The straggler monitor is shared the same way, so
-// blame accumulated against a slow host survives the teardown of a failed
-// attempt (a null monitor with the policy enabled gets a run-local one).
+// A fresh Network for one run, configured from `config`. The injector is
+// passed in (rather than built here) so recovery attempts share it:
+// occurrence counters and fired-crash flags persist, and a rebooted host
+// does not re-crash on replay. The straggler monitor is shared the same
+// way, so blame accumulated against a slow host survives the teardown of a
+// failed attempt (a null monitor with the policy enabled gets a run-local
+// one).
+std::unique_ptr<comm::Network> makeNetwork(
+    const PartitionerConfig& config,
+    const std::shared_ptr<comm::FaultInjector>& injector,
+    const std::shared_ptr<comm::StragglerMonitor>& monitor) {
+  auto net = std::make_unique<comm::Network>(config.numHosts,
+                                             config.networkCostModel);
+  net->setAggregation(config.aggregation);
+  if (injector) {
+    net->setFaultInjector(injector);
+  }
+  if (config.resilience.recvTimeoutSeconds > 0) {
+    net->setRecvTimeout(config.resilience.recvTimeoutSeconds);
+  }
+  net->setRetryPolicy(config.resilience.retry);
+  if (config.resilience.straggler.enabled()) {
+    net->setStragglerPolicy(config.resilience.straggler);
+    net->setStragglerMonitor(
+        monitor ? monitor
+                : std::make_shared<comm::StragglerMonitor>(config.numHosts));
+  }
+  return net;
+}
+
+// One full pipeline run over a fresh Network (see makeNetwork).
 PartitionResult runPipeline(
     const graph::GraphFile& file, const PartitionPolicy& policy,
     const PartitionerConfig& config,
     const std::shared_ptr<comm::FaultInjector>& injector,
     const std::shared_ptr<comm::StragglerMonitor>& monitor = nullptr) {
-  comm::Network net(config.numHosts, config.networkCostModel);
-  if (config.aggregation) {
-    net.setAggregation(*config.aggregation);
-  }
-  if (injector) {
-    net.setFaultInjector(injector);
-  }
-  if (config.resilience.recvTimeoutSeconds > 0) {
-    net.setRecvTimeout(config.resilience.recvTimeoutSeconds);
-  }
-  net.setRetryPolicy(config.resilience.retry);
-  if (config.resilience.straggler.enabled()) {
-    net.setStragglerPolicy(config.resilience.straggler);
-    net.setStragglerMonitor(
-        monitor ? monitor
-                : std::make_shared<comm::StragglerMonitor>(config.numHosts));
-  }
+  const auto netOwner = makeNetwork(config, injector, monitor);
+  comm::Network& net = *netOwner;
   PartitionResult result;
   result.partitions.resize(config.numHosts);
   std::vector<support::PhaseTimes> hostTimes(config.numHosts);
@@ -1507,21 +1517,8 @@ PartitionResult runRedistributionRound(
     const std::shared_ptr<comm::StragglerMonitor>& monitor,
     const std::vector<uint32_t>& deadRanks) {
   const uint32_t k = baseConfig.numHosts;
-  comm::Network net(k, baseConfig.networkCostModel);
-  if (baseConfig.aggregation) {
-    net.setAggregation(*baseConfig.aggregation);
-  }
-  if (injector) {
-    net.setFaultInjector(injector);
-  }
-  if (baseConfig.resilience.recvTimeoutSeconds > 0) {
-    net.setRecvTimeout(baseConfig.resilience.recvTimeoutSeconds);
-  }
-  net.setRetryPolicy(baseConfig.resilience.retry);
-  if (monitor && baseConfig.resilience.straggler.enabled()) {
-    net.setStragglerPolicy(baseConfig.resilience.straggler);
-    net.setStragglerMonitor(monitor);
-  }
+  const auto netOwner = makeNetwork(baseConfig, injector, monitor);
+  comm::Network& net = *netOwner;
   for (uint32_t d : deadRanks) {
     net.evict(d);
   }

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -251,11 +250,10 @@ struct PartitionerConfig {
   // overhead and bandwidth); zero-cost by default.
   comm::NetworkCostModel networkCostModel;
 
-  // Send-aggregation override for this run's networks. Unset = the
-  // process-wide default (comm::defaultAggregation(), aggregation ON with a
-  // 1400-byte packet cap); set to {.enabled = false} to force the legacy
-  // per-message path, or customize packetBytes / maxAgeSeconds.
-  std::optional<comm::AggregationPolicy> aggregation;
+  // Send aggregation for this run's networks: a 1400-byte packet cap by
+  // default; {.packetBytes = 0} seals every message as its own packet, and
+  // maxAgeSeconds > 0 arms the receiver-side age pull.
+  comm::AggregationPolicy aggregation;
 
   // Simulated per-host disk bandwidth for the graph-reading phase, in
   // MB/s; 0 disables throttling. The simulation's "disk" is host memory,

@@ -279,7 +279,7 @@ class DistPulpHost {
       if (h != me_) {
         support::SendBuffer buf;
         support::serialize(buf, sentTo[h]);
-        net_.send(me_, h, comm::kTagGeneric + 1, std::move(buf));
+        net_.sendReliable(me_, h, comm::kTagGeneric + 1, std::move(buf));
       }
     }
     for (comm::HostId h = 0; h < net_.numHosts(); ++h) {
@@ -398,7 +398,7 @@ class DistPulpHost {
       }
       support::SendBuffer buf;
       support::serializeAll(buf, movedVertices, movedLabels);
-      net_.send(me_, h, comm::kTagGeneric + 2, std::move(buf));
+      net_.sendReliable(me_, h, comm::kTagGeneric + 2, std::move(buf));
     }
     bool anyMoves = !movedVertices.empty();
     for (comm::HostId h = 0; h < net_.numHosts(); ++h) {

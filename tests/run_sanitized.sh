@@ -39,7 +39,7 @@
 # channel mutex while blocked receivers age-pull and flush them, and the
 # cached mailbox-backlog counter is bumped from every enqueue/dedup/evict
 # path — exactly the lock-ordering and atomic discipline a differential
-# buffered-vs-legacy battery exercises hardest. `tsan-analytics` runs the
+# packed-vs-unbatched battery exercises hardest. `tsan-analytics` runs the
 # `analytics` label under TSan: the superstep kernels keep their scatter
 # and relax scratch (accumulators, dirty sets, frontiers) in plain,
 # non-atomic per-host state, so TSan confirms no host thread touches

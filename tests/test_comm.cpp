@@ -104,6 +104,11 @@ TEST(NetworkTest, OutOfRangeHostThrows) {
                std::out_of_range);
   EXPECT_THROW(net.send(9, 0, kTagGeneric, bufferWith(1)),
                std::out_of_range);
+  EXPECT_THROW(net.recv(2, kTagGeneric), std::out_of_range);
+  EXPECT_THROW(net.recvFrom(2, 0, kTagGeneric), std::out_of_range);
+  EXPECT_THROW(net.recvFrom(0, 7, kTagGeneric), std::out_of_range);
+  EXPECT_THROW(net.tryRecv(3, kTagGeneric), std::out_of_range);
+  EXPECT_THROW(net.modeledCommSeconds(2), std::out_of_range);
   EXPECT_THROW(Network(0), std::invalid_argument);
 }
 

@@ -4,7 +4,7 @@
 // invisible to everything above it: a resilient partition run under any
 // seeded fault schedule has to produce bit-identical partitions, the same
 // recovery report, and the same framing-excluded traffic volume whether
-// commits ship eagerly (legacy, aggregation disabled) or ride packed
+// every commit ships as its own packet (packetBytes = 0) or rides packed
 // multi-message frames. The differential suite below locks that in across
 // a sweep of fault plans — drops, duplicates, delays, corrupted frames,
 // link faults, slowdowns, healing partitions, transient crashes — and the
@@ -78,7 +78,7 @@ std::vector<uint8_t> serializedBytes(const core::DistGraph& part) {
   return buf.release();
 }
 
-// --- differential suite: buffered vs legacy under seeded fault plans ---
+// --- differential suite: packed vs seal-every-message under seeded faults ---
 
 constexpr uint32_t kDiffHosts = 4;
 
@@ -93,7 +93,7 @@ constexpr uint32_t kDiffHosts = 4;
 // program order, which the buffered path preserves commit for send. A
 // kAnyHost/kAnyTag wildcard would instead count sends of EVERY host on a
 // shared counter, making the targeted message a thread-interleaving race —
-// two legacy runs of the same plan already disagree on which message gets
+// two runs of the same plan already disagree on which message gets
 // hit (and a corrupted attempt accounts an extra framed transmission, so
 // even the volume totals wobble). Differential testing needs the plan
 // itself to be deterministic.
@@ -207,7 +207,6 @@ struct RunOutcome {
 };
 
 RunOutcome runDifferential(uint64_t seed, const AggregationPolicy& agg) {
-  comm::ScopedAggregation scoped(agg);
   TempDir dir;
 
   const auto graph = graph::generateErdosRenyi(220, 900, 17 * seed + 3);
@@ -224,6 +223,7 @@ RunOutcome runDifferential(uint64_t seed, const AggregationPolicy& agg) {
   config.resilience.recvTimeoutSeconds = 20.0;
   config.resilience.maxRecoveryAttempts = 6;
   config.resilience.degradedMode = true;
+  config.aggregation = agg;
 
   RunOutcome out;
   core::RecoveryReport report;
@@ -255,8 +255,8 @@ RunOutcome runDifferential(uint64_t seed, const AggregationPolicy& agg) {
 // Which side of a severed link fails first — the sender burning its retry
 // budget (SendRetriesExhausted) or the fenced minority detecting the cut
 // (MinorityPartition, via the same enforceQuorumOnFailure) — is a
-// wall-clock race between host threads that exists in the legacy path
-// already; buffering legitimately shifts it by moving the minority host's
+// wall-clock race between host threads that exists even when every
+// message ships as its own packet; buffering legitimately shifts it by moving the minority host's
 // transmissions to its flush points. Both classify the same link-level
 // event, so the differential collapses them into one equivalence class;
 // the failure COUNT and every other kind must still match exactly.
@@ -269,34 +269,37 @@ std::vector<std::string> normalizedKinds(std::vector<std::string> kinds) {
   return kinds;
 }
 
-void expectSameOutcome(const RunOutcome& legacy, const RunOutcome& buffered) {
-  ASSERT_EQ(legacy.threw, buffered.threw);
-  EXPECT_EQ(legacy.exceptionType, buffered.exceptionType);
-  EXPECT_EQ(legacy.attempts, buffered.attempts);
-  EXPECT_EQ(normalizedKinds(legacy.failureKinds),
-            normalizedKinds(buffered.failureKinds));
-  EXPECT_EQ(legacy.resumedFromPhase, buffered.resumedFromPhase);
-  EXPECT_EQ(legacy.evictions, buffered.evictions);
-  EXPECT_EQ(legacy.finalNumHosts, buffered.finalNumHosts);
-  ASSERT_EQ(legacy.partitionBytes.size(), buffered.partitionBytes.size());
-  for (size_t h = 0; h < legacy.partitionBytes.size(); ++h) {
-    EXPECT_EQ(legacy.partitionBytes[h], buffered.partitionBytes[h])
+void expectSameOutcome(const RunOutcome& sealed, const RunOutcome& packed) {
+  ASSERT_EQ(sealed.threw, packed.threw);
+  EXPECT_EQ(sealed.exceptionType, packed.exceptionType);
+  EXPECT_EQ(sealed.attempts, packed.attempts);
+  EXPECT_EQ(normalizedKinds(sealed.failureKinds),
+            normalizedKinds(packed.failureKinds));
+  EXPECT_EQ(sealed.resumedFromPhase, packed.resumedFromPhase);
+  EXPECT_EQ(sealed.evictions, packed.evictions);
+  EXPECT_EQ(sealed.finalNumHosts, packed.finalNumHosts);
+  ASSERT_EQ(sealed.partitionBytes.size(), packed.partitionBytes.size());
+  for (size_t h = 0; h < sealed.partitionBytes.size(); ++h) {
+    EXPECT_EQ(sealed.partitionBytes[h], packed.partitionBytes[h])
         << "partition for host " << h << " diverged";
   }
-  EXPECT_EQ(legacy.tagBytes, buffered.tagBytes);
-  EXPECT_EQ(legacy.tagMessages, buffered.tagMessages);
-  EXPECT_EQ(legacy.collectiveBytes, buffered.collectiveBytes);
-  EXPECT_EQ(legacy.collectiveMessages, buffered.collectiveMessages);
+  EXPECT_EQ(sealed.tagBytes, packed.tagBytes);
+  EXPECT_EQ(sealed.tagMessages, packed.tagMessages);
+  EXPECT_EQ(sealed.collectiveBytes, packed.collectiveBytes);
+  EXPECT_EQ(sealed.collectiveMessages, packed.collectiveMessages);
 }
 
 class BufferedDifferential : public ::testing::TestWithParam<uint64_t> {};
 
+// Seal-every-message (packetBytes = 0: every commit ships as its own
+// packet at commit time) is the unbatched reference the default cap must
+// match.
 TEST_P(BufferedDifferential, MatchesLegacyUnderSeededFaults) {
   const uint64_t seed = GetParam();
-  const RunOutcome legacy =
-      runDifferential(seed, AggregationPolicy{.enabled = false});
+  const RunOutcome sealed =
+      runDifferential(seed, AggregationPolicy{.packetBytes = 0});
   const RunOutcome buffered = runDifferential(seed, AggregationPolicy{});
-  expectSameOutcome(legacy, buffered);
+  expectSameOutcome(sealed, buffered);
 }
 
 // Odd packet caps exercise straddle-prefix flushes at unusual boundaries;
@@ -306,26 +309,14 @@ TEST_P(BufferedDifferential, PacketCapDoesNotChangeOutcome) {
   if (seed % 3 != 0) {
     GTEST_SKIP() << "cap sweep runs on a third of the seeds";
   }
-  const RunOutcome legacy =
-      runDifferential(seed, AggregationPolicy{.enabled = false});
-  const RunOutcome tiny = runDifferential(
-      seed, AggregationPolicy{.enabled = true, .packetBytes = 96});
-  const RunOutcome huge = runDifferential(
-      seed, AggregationPolicy{.enabled = true, .packetBytes = 1 << 20});
-  expectSameOutcome(legacy, tiny);
-  expectSameOutcome(legacy, huge);
-}
-
-// Seal-every-message (packetBytes = 0: every commit ships as its own
-// packet on the spot) must reproduce the unaggregated path exactly, so it
-// can stand in for it once the on/off switch is gone.
-TEST_P(BufferedDifferential, SealEveryMessageMatchesUnaggregated) {
-  const uint64_t seed = GetParam();
-  const RunOutcome legacy =
-      runDifferential(seed, AggregationPolicy{.enabled = false});
-  const RunOutcome sealed = runDifferential(
-      seed, AggregationPolicy{.enabled = true, .packetBytes = 0});
-  expectSameOutcome(legacy, sealed);
+  const RunOutcome sealed =
+      runDifferential(seed, AggregationPolicy{.packetBytes = 0});
+  const RunOutcome tiny =
+      runDifferential(seed, AggregationPolicy{.packetBytes = 96});
+  const RunOutcome huge =
+      runDifferential(seed, AggregationPolicy{.packetBytes = 1 << 20});
+  expectSameOutcome(sealed, tiny);
+  expectSameOutcome(sealed, huge);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BufferedDifferential,
@@ -374,60 +365,69 @@ struct FlushModel {
   }
 };
 
+// Runs with the 256-byte cap and with packetBytes = 0, where every commit
+// must ship as its own size-flushed packet.
 TEST(FlushPolicy, NoStraddleAndOverCapPacketsAreExactlyOversizedMessages) {
-  constexpr size_t kCap = 256;
-  Network net(2);
-  net.setAggregation({.enabled = true, .packetBytes = kCap});
+  constexpr size_t kSizeScale = 256;  // message sizes sweep around this
+  for (const size_t cap : {kSizeScale, size_t{0}}) {
+    SCOPED_TRACE("packetBytes=" + std::to_string(cap));
+    Network net(2);
+    net.setAggregation({.packetBytes = cap});
 
-  support::Rng rng(991);
-  FlushModel model{kCap};
-  std::vector<std::vector<uint8_t>> sent;
-  for (uint64_t i = 0; i < 300; ++i) {
-    // Sizes sweep well below, around, exactly at, and above the cap.
-    const size_t body = 1 + rng.nextBounded(2 * kCap);
-    std::vector<uint8_t> payload(body);
-    for (size_t j = 0; j < body; ++j) {
-      payload[j] = static_cast<uint8_t>((i * 31 + j) & 0xFF);
+    support::Rng rng(991);
+    FlushModel model{cap};
+    std::vector<std::vector<uint8_t>> sent;
+    for (uint64_t i = 0; i < 300; ++i) {
+      // Sizes sweep well below, around, exactly at, and above the cap.
+      const size_t body = 1 + rng.nextBounded(2 * kSizeScale);
+      std::vector<uint8_t> payload(body);
+      for (size_t j = 0; j < body; ++j) {
+        payload[j] = static_cast<uint8_t>((i * 31 + j) & 0xFF);
+      }
+      SendBuffer buf;
+      support::serializeAll(buf, i, payload);
+      model.commit(buf.size());
+      sent.push_back(std::move(payload));
+      SendBuffer wire;
+      support::serializeAll(wire, i, sent.back());
+      net.sendPacked(0, 1, comm::kTagGeneric, std::move(wire));
     }
-    SendBuffer buf;
-    support::serializeAll(buf, i, payload);
-    model.commit(buf.size());
-    sent.push_back(std::move(payload));
-    SendBuffer wire;
-    support::serializeAll(wire, i, sent.back());
-    net.sendPacked(0, 1, comm::kTagGeneric, std::move(wire));
-  }
-  net.flushAggregated(0);
-  model.flush();
+    net.flushAggregated(0);
+    model.flush();
 
-  const auto snap = net.aggSnapshot();
-  EXPECT_EQ(snap.pendingBytes, 0u);
-  EXPECT_EQ(snap.packedMessages, 300u);
-  EXPECT_EQ(snap.packets, model.packets);
-  EXPECT_EQ(snap.oversizedMessages, model.oversized);
-  // A packet exceeds the cap if and only if it carries a single message
-  // that itself exceeds the cap — i.e. nothing ever straddles a boundary
-  // and small messages are never co-packed past the cap.
-  EXPECT_EQ(snap.overCapPackets, snap.oversizedMessages);
+    const auto snap = net.aggSnapshot();
+    EXPECT_EQ(snap.pendingBytes, 0u);
+    EXPECT_EQ(snap.packedMessages, 300u);
+    EXPECT_EQ(snap.packets, model.packets);
+    EXPECT_EQ(snap.oversizedMessages, model.oversized);
+    // A packet exceeds the cap if and only if it carries a single message
+    // that itself exceeds the cap — i.e. nothing ever straddles a boundary
+    // and small messages are never co-packed past the cap.
+    EXPECT_EQ(snap.overCapPackets, snap.oversizedMessages);
+    if (cap == 0) {
+      EXPECT_EQ(snap.packets, 300u);
+      EXPECT_EQ(snap.flushes[static_cast<size_t>(FlushCause::kSize)], 300u);
+    }
 
-  // Reassembly: the packed frames must come apart into the original
-  // messages, in order, byte for byte.
-  for (uint64_t i = 0; i < 300; ++i) {
-    auto msg = net.tryRecv(1, comm::kTagGeneric);
-    ASSERT_TRUE(msg.has_value()) << "message " << i << " missing";
-    uint64_t index = 0;
-    std::vector<uint8_t> payload;
-    support::deserializeAll(msg->payload, index, payload);
-    EXPECT_EQ(index, i);
-    EXPECT_EQ(payload, sent[i]);
+    // Reassembly: the packed frames must come apart into the original
+    // messages, in order, byte for byte.
+    for (uint64_t i = 0; i < 300; ++i) {
+      auto msg = net.tryRecv(1, comm::kTagGeneric);
+      ASSERT_TRUE(msg.has_value()) << "message " << i << " missing";
+      uint64_t index = 0;
+      std::vector<uint8_t> payload;
+      support::deserializeAll(msg->payload, index, payload);
+      EXPECT_EQ(index, i);
+      EXPECT_EQ(payload, sent[i]);
+    }
+    EXPECT_FALSE(net.tryRecv(1, comm::kTagGeneric).has_value());
   }
-  EXPECT_FALSE(net.tryRecv(1, comm::kTagGeneric).has_value());
 }
 
 TEST(FlushPolicy, AgeFlushBoundsIdleSenderLatency) {
   Network net(2);
   net.setAggregation(
-      {.enabled = true, .packetBytes = 1 << 16, .maxAgeSeconds = 0.05});
+      {.packetBytes = 1 << 16, .maxAgeSeconds = 0.05});
 
   const auto start = std::chrono::steady_clock::now();
   comm::runHosts(net, [&](comm::HostId me) {
@@ -471,7 +471,7 @@ TEST(FlushPolicy, PressureFlushFiresBeforeBudgetOverdraft) {
   scoped.budget()->reserveOverdraft(15000);
 
   Network net(2);
-  net.setAggregation({.enabled = true, .packetBytes = 1 << 16});
+  net.setAggregation({.packetBytes = 1 << 16});
   for (uint64_t i = 0; i < 8; ++i) {
     auto writer = net.packedWriter(0, 1, comm::kTagGeneric);
     support::serialize(writer, i);
@@ -489,7 +489,7 @@ TEST(FlushPolicy, PressureFlushFiresBeforeBudgetOverdraft) {
 TEST(FlushPolicy, FlushAllLeavesZeroResidual) {
   obs::ScopedObservability obs;  // attach BEFORE the Network resolves cells
   Network net(3);
-  net.setAggregation({.enabled = true, .packetBytes = 1 << 16});
+  net.setAggregation({.packetBytes = 1 << 16});
 
   comm::BufferedSender sender(net, 0, comm::kTagEdgeBatch, 1 << 20);
   for (uint64_t i = 0; i < 50; ++i) {
@@ -530,7 +530,7 @@ TEST(BacklogCache, ExactAcrossDuplicateDropAndEvictionPurge) {
                                  .action = FaultAction::kDuplicate});
   Network net(3);
   net.setFaultInjector(std::make_shared<comm::FaultInjector>(*plan));
-  net.setAggregation({.enabled = true, .packetBytes = 1 << 16});
+  net.setAggregation({.packetBytes = 1 << 16});
 
   // Stage 1: bare sends, including the duplicated one — the cached counter
   // must account both copies while they sit in the mailbox.

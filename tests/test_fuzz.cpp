@@ -239,7 +239,7 @@ TEST_P(FaultPlanFuzz, CompletesValidlyOrFailsStructured) {
   // packet caps from tiny — every protocol message straddles and seals its
   // own packet — to far past any message size, with the receiver-side age
   // pull armed on half the schedules. The bit-identity assertion against
-  // the fault-free baseline below (which runs on the process default)
+  // the fault-free baseline below (which runs on the default policy)
   // doubles as the invariance check: no cap or age choice may change what
   // a deterministic policy produces.
   comm::AggregationPolicy agg;

@@ -72,11 +72,13 @@ graph::CsrGraph smallWeightedGraph(uint64_t seed) {
   return graph::withRandomWeights(graph::generateWebCrawl(params), 64, 7);
 }
 
-std::shared_ptr<service::Engine> makeEngine(const std::string& workDir = "",
-                                            uint32_t hostPoolSize = 16) {
+std::shared_ptr<service::Engine> makeEngine(
+    const std::string& workDir = "", uint32_t hostPoolSize = 16,
+    const comm::AggregationPolicy& aggregation = {}) {
   service::EngineOptions options;
   options.hostPoolSize = hostPoolSize;
   options.workDir = workDir;
+  options.baseConfig.aggregation = aggregation;
   auto engine = std::make_shared<service::Engine>(options);
   engine->registerGraph("web",
                         graph::GraphFile::fromCsr(smallWeightedGraph(13)));
@@ -729,9 +731,8 @@ TEST(ServiceSoakTest, AggregationPolicyNeverChangesAcceptedJobResults) {
   };
 
   const auto runSoak = [&](const comm::AggregationPolicy& agg) {
-    comm::ScopedAggregation scoped(agg);
     TempDir root;
-    auto engine = makeEngine(root.path() + "/scratch");
+    auto engine = makeEngine(root.path() + "/scratch", 16, agg);
     service::DaemonOptions options;
     options.workers = 1;  // serial execution: cache hits in program order
     options.maxQueueDepth = 256;
