@@ -88,7 +88,8 @@ struct ResilienceOptions {
 
   comm::NetworkCostModel costModel;
 
-  // Send aggregation for the attempt networks (comm::AggregationPolicy).
+  // Send aggregation for the attempt networks; {.packetBytes = 0} seals
+  // every message as its own packet.
   comm::AggregationPolicy aggregation;
 
   // Cooperative cancellation (support/cancel.h), mirroring
