@@ -1,15 +1,22 @@
 // Microbenchmarks of the substrate primitives CuSP's performance rests on:
-// parallel loops, prefix sums, the concurrent bitset, serialization, and
-// the message-passing runtime (including the buffered-vs-immediate send
-// ablation at the primitive level). The message-passing benchmarks do their
-// work on peer/runHosts threads while the benchmark thread only waits, so
-// they report wall time (UseRealTime), not the main thread's CPU time.
+// parallel loops, prefix sums, the concurrent bitset, serialization, the
+// partitioner's per-edge layers (edge-owner dispatch, global -> local id
+// translation), and the message-passing runtime (including the
+// buffered-vs-immediate send ablation at the primitive level). The
+// message-passing benchmarks do their work on peer/runHosts threads while
+// the benchmark thread only waits, so they report wall time (UseRealTime),
+// not the main thread's CPU time.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <unordered_map>
 
 #include "comm/network.h"
+#include "core/edge_rules.h"
+#include "core/policies.h"
 #include "graph/generators.h"
+#include "graph/graph_file.h"
 #include "support/bitset.h"
 #include "support/prefix_sum.h"
 #include "support/serialize.h"
@@ -171,6 +178,131 @@ void BM_PerMessageSendPath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * records));
 }
 BENCHMARK(BM_PerMessageSendPath)->Arg(0)->Arg(1)->UseRealTime();
+
+// ---- partitioner per-edge layers --------------------------------------------
+
+// A kron stand-in of about 2^18 edges as a flat edge list, with ContiguousEB
+// masters on 4 partitions: the input shape of the partitioner's loops.
+struct KronEdges {
+  graph::CsrGraph graph = graph::makeStandIn("kron", 1 << 18, 7);
+  graph::GraphFile file = graph::GraphFile::fromCsr(graph);
+  core::GraphProperties prop{file, 4};
+  std::vector<uint64_t> srcs, dsts;
+  std::vector<uint32_t> masterOf;
+
+  KronEdges() {
+    const core::MasterRule master = core::masterContiguousEB();
+    core::PartitionState state;
+    const core::MasterLookup none;
+    for (uint64_t v = 0; v < graph.numNodes(); ++v) {
+      masterOf.push_back(master.fn(prop, v, state, none));
+      for (uint64_t d : graph.outNeighbors(v)) {
+        srcs.push_back(v);
+        dsts.push_back(d);
+      }
+    }
+  }
+};
+
+const KronEdges& kronEdges() {
+  static const KronEdges edges;
+  return edges;
+}
+
+// Reports the per-edge cost (seconds per edge, printed with an SI prefix)
+// alongside items/s.
+void setPerEdge(benchmark::State& state, uint64_t edges) {
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * edges));
+  state.counters["ns_per_edge"] = benchmark::Counter(
+      static_cast<double>(edges),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// Owner of every kron edge under Source (arg 0), Hybrid (1) or Cartesian
+// (2): through the rule's std::function (second arg 0), or through the
+// static path the partitioner takes for built-ins via visitEdgeRule (1).
+void BM_EdgeOwnerDispatch(benchmark::State& state) {
+  const KronEdges& in = kronEdges();
+  const core::EdgeRule rule = state.range(0) == 0   ? core::edgeSource()
+                              : state.range(0) == 1 ? core::edgeHybrid(10)
+                                                    : core::edgeCartesian();
+  const bool statically = state.range(1) == 1;
+  core::PartitionState estate;
+  auto ownAll = [&](const auto& edgeOwner) {
+    uint64_t sum = 0;
+    for (size_t e = 0; e < in.srcs.size(); ++e) {
+      const uint64_t s = in.srcs[e];
+      const uint64_t d = in.dsts[e];
+      sum += edgeOwner(in.prop, s, d, in.masterOf[s], in.masterOf[d], estate);
+    }
+    benchmark::DoNotOptimize(sum);
+  };
+  for (auto _ : state) {
+    if (statically) {
+      core::visitEdgeRule(rule.fn, ownAll);
+    } else {
+      ownAll(rule.fn);
+    }
+  }
+  state.SetLabel(rule.name + (statically ? " static" : " std::function"));
+  setPerEdge(state, in.srcs.size());
+}
+BENCHMARK(BM_EdgeOwnerDispatch)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"rule", "static"});
+
+// Local id of both endpoints of every kron edge a host of 4 holds (the
+// edges of its ContiguousEB masters): through an unordered_map with .at()
+// (arg 0), or through a dense table indexed by global id (arg 1).
+void BM_GidTranslate(benchmark::State& state) {
+  const KronEdges& in = kronEdges();
+  std::vector<uint64_t> localToGlobal;
+  std::vector<size_t> mine;
+  {
+    std::vector<bool> present(in.graph.numNodes(), false);
+    for (size_t e = 0; e < in.srcs.size(); ++e) {
+      if (in.masterOf[in.srcs[e]] == 0) {
+        mine.push_back(e);
+        present[in.srcs[e]] = present[in.dsts[e]] = true;
+      }
+    }
+    for (uint64_t v = 0; v < present.size(); ++v) {
+      if (present[v]) {
+        localToGlobal.push_back(v);
+      }
+    }
+  }
+  const bool dense = state.range(0) == 1;
+  std::unordered_map<uint64_t, uint64_t> map;
+  std::vector<uint32_t> table(in.graph.numNodes(), UINT32_MAX);
+  for (uint64_t lid = 0; lid < localToGlobal.size(); ++lid) {
+    map.emplace(localToGlobal[lid], lid);
+    table[localToGlobal[lid]] = static_cast<uint32_t>(lid);
+  }
+  // The partitioner's dense lookup keeps .at()'s bounds and absence check.
+  auto denseAt = [&](uint64_t gid) -> uint64_t {
+    const uint32_t lid = gid < table.size() ? table[gid] : UINT32_MAX;
+    if (lid == UINT32_MAX) {
+      throw std::out_of_range("BM_GidTranslate: unknown node");
+    }
+    return lid;
+  };
+  for (auto _ : state) {
+    uint64_t sum = 0;
+    for (size_t e : mine) {
+      if (dense) {
+        sum += denseAt(in.srcs[e]) + denseAt(in.dsts[e]);
+      } else {
+        sum += map.at(in.srcs[e]) + map.at(in.dsts[e]);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetLabel(dense ? "dense table" : "unordered_map::at");
+  setPerEdge(state, mine.size());
+}
+BENCHMARK(BM_GidTranslate)->Arg(0)->Arg(1);
 
 void BM_RmatGeneration(benchmark::State& state) {
   graph::RmatParams params;

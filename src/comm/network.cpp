@@ -124,7 +124,7 @@ MembershipView Network::membershipSnapshot() const {
   view.epoch = membershipEpoch();
   view.alive.resize(numHosts());
   for (HostId h = 0; h < numHosts(); ++h) {
-    view.alive[h] = isAlive(h) ? 1 : 0;
+    view.alive[h] = hostAlive(h) ? 1 : 0;
   }
   return view;
 }
@@ -250,7 +250,7 @@ std::vector<HostId> Network::connectivityComponent(HostId me) const {
     frontier.pop_back();
     component.push_back(h);
     for (HostId peer = 0; peer < numHosts(); ++peer) {
-      if (visited[peer] || !isAlive(peer)) {
+      if (visited[peer] || !hostAlive(peer)) {
         continue;
       }
       if (linkReachable(h, peer) && linkReachable(peer, h)) {
@@ -265,7 +265,7 @@ std::vector<HostId> Network::connectivityComponent(HostId me) const {
 
 void Network::enforceQuorumOnFailure(HostId me, HostId peer, Tag tag) {
   (void)tag;
-  if (!injector_ || !isAlive(me)) {
+  if (!injector_ || !hostAlive(me)) {
     return;
   }
   noteSuspect(me, peer);
@@ -291,7 +291,7 @@ void Network::enforceQuorumOnFailure(HostId me, HostId peer, Tag tag) {
 }
 
 MembershipView Network::agreeMembership(HostId me) {
-  if (!isAlive(me)) {
+  if (!hostAlive(me)) {
     // Evicted while cut off: the majority proceeded without us, and the
     // epoch bump in the membership view IS the detection signal. Fence and
     // fail fast; the resilient driver discards this host's stale in-memory
@@ -319,7 +319,7 @@ MembershipView Network::agreeMembership(HostId me) {
         }
         std::vector<HostId> evicted;
         for (HostId h = 0; h < numHosts(); ++h) {
-          if (isAlive(h) && !inComponent[h]) {
+          if (hostAlive(h) && !inComponent[h]) {
             evict(h);
             evicted.push_back(h);
             countPartitionEvent("quorum_evictions", h);
@@ -409,11 +409,11 @@ void Network::chargeModeled(HostId from, HostId to, Tag tag, size_t bytes) {
 
 Network::Attempt Network::attemptOnce(HostId from, HostId to, Tag tag,
                                       size_t len, bool soloFrame) {
-  if (!isAlive(to) || !isAlive(from)) {
+  if (!hostAlive(to) || !hostAlive(from)) {
     // An evicted host never answers and never speaks: fail fast with the
     // structured error instead of burning the retry budget (the retry loop
     // does not catch this) or waiting out a recv timeout on the other side.
-    throw HostEvicted(from, isAlive(to) ? from : to, tag, membershipEpoch());
+    throw HostEvicted(from, hostAlive(to) ? from : to, tag, membershipEpoch());
   }
   if (injector_) {
     injector_->onCrossing(from);  // may throw HostFailure
@@ -668,7 +668,7 @@ void Network::deliverPacket(HostId from, HostId to,
   if (obs_.aggFlushes[causeIdx] != nullptr) {
     obs_.aggFlushes[causeIdx]->add();
   }
-  if (!isAlive(from) || !isAlive(to)) {
+  if (!hostAlive(from) || !hostAlive(to)) {
     // An eviction raced the flush: drop the packet exactly like the mailbox
     // purge drops already-queued messages from/to a dead host.
     return;
@@ -953,7 +953,7 @@ HostId Network::chaseBlame(HostId me, HostId from) const {
     }
     const HostId next = static_cast<HostId>((packed >> 32) & 0x7FFFFFFFu);
     if (next == (kAnyHost & 0x7FFFFFFFu) || next == me || next == culprit ||
-        !isAlive(next)) {
+        !hostAlive(next)) {
       break;  // unattributable wait, or the chain loops back to us
     }
     culprit = next;
@@ -966,8 +966,8 @@ Message Network::recvImpl(HostId me, Tag tag, HostId from) {
   if (from != kAnyHost) {
     checkHost("Network::recvFrom", from);
   }
-  if (!isAlive(me) || (from != kAnyHost && !isAlive(from))) {
-    throw HostEvicted(me, isAlive(me) ? from : me, tag, membershipEpoch());
+  if (!hostAlive(me) || (from != kAnyHost && !hostAlive(from))) {
+    throw HostEvicted(me, hostAlive(me) ? from : me, tag, membershipEpoch());
   }
   if (injector_) {
     injector_->onCrossing(me);
@@ -1000,7 +1000,7 @@ Message Network::recvImpl(HostId me, Tag tag, HostId from) {
     if (aborted_.load(std::memory_order_acquire)) {
       throw NetworkAborted();
     }
-    if (from != kAnyHost && !isAlive(from)) {
+    if (from != kAnyHost && !hostAlive(from)) {
       // The awaited peer was evicted while we were blocked (evict() wakes
       // all receivers): nothing more will ever arrive on this channel.
       throw HostEvicted(me, from, tag, membershipEpoch());
@@ -1169,12 +1169,12 @@ void Network::barrier(HostId me) {
   const HostId root = collectiveRoot();
   if (me == root) {
     for (HostId src = 0; src < numHosts(); ++src) {
-      if (src != root && isAlive(src)) {
+      if (src != root && hostAlive(src)) {
         recvFrom(root, src, kTagBarrierUp);
       }
     }
     for (HostId dst = 0; dst < numHosts(); ++dst) {
-      if (dst != root && isAlive(dst)) {
+      if (dst != root && hostAlive(dst)) {
         sendReliable(root, dst, kTagBarrierDown, support::SendBuffer());
       }
     }

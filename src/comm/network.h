@@ -386,20 +386,22 @@ class Network {
 
   // --- membership (degraded mode) ---
 
+  // Throws std::out_of_range unless `h` is a host id.
   bool isAlive(HostId h) const {
-    return alive_[h]->load(std::memory_order_acquire);
+    checkHost("Network::isAlive", h);
+    return hostAlive(h);
   }
   uint32_t numAliveHosts() const {
     uint32_t n = 0;
     for (HostId h = 0; h < numHosts(); ++h) {
-      n += isAlive(h) ? 1 : 0;
+      n += hostAlive(h) ? 1 : 0;
     }
     return n;
   }
   // Lowest alive host: the root of every collective. 0 on full membership.
   HostId collectiveRoot() const {
     for (HostId h = 0; h < numHosts(); ++h) {
-      if (isAlive(h)) {
+      if (hostAlive(h)) {
         return h;
       }
     }
@@ -606,6 +608,12 @@ class Network {
     }
   }
   [[noreturn]] static void throwOutOfRange(const char* what);
+
+  // isAlive without the range check, for ids already known to be hosts
+  // (the per-message attempt path, loops over numHosts()).
+  bool hostAlive(HostId h) const {
+    return alive_[h]->load(std::memory_order_acquire);
+  }
 
   Message recvImpl(HostId me, Tag tag, HostId from);
 
@@ -935,7 +943,7 @@ void Network::allReduce(
   }
   if (me == root) {
     for (HostId src = 0; src < numHosts(); ++src) {
-      if (src == root || !isAlive(src)) {
+      if (src == root || !hostAlive(src)) {
         continue;
       }
       Message msg = recvFrom(root, src, kTagCollectiveUp);
@@ -947,7 +955,7 @@ void Network::allReduce(
       combine(values, contribution);
     }
     for (HostId dst = 0; dst < numHosts(); ++dst) {
-      if (dst == root || !isAlive(dst)) {
+      if (dst == root || !hostAlive(dst)) {
         continue;
       }
       support::SendBuffer out;

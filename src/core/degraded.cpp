@@ -151,9 +151,14 @@ std::vector<DistGraph> redistributePartitions(
     }
   }
 
+  // Masters lead each local id space, so a vertex's local id on its new
+  // master's host is its rank among that host's masters.
   std::vector<std::vector<uint64_t>> mastersOf(k);
+  std::vector<uint64_t> masterLidOf(numGlobalNodes);
   for (uint64_t gid = 0; gid < numGlobalNodes; ++gid) {
-    mastersOf[newMasterOf[gid]].push_back(gid);  // ascending by construction
+    auto& masters = mastersOf[newMasterOf[gid]];
+    masterLidOf[gid] = masters.size();
+    masters.push_back(gid);  // ascending by construction
   }
 
   std::vector<DistGraph> out(outHosts);
@@ -167,6 +172,9 @@ std::vector<DistGraph> redistributePartitions(
     out[slot].myMirrorsByOwner.assign(outHosts, {});
   }
 
+  // Dense global -> local table of the survivor being built; entries are
+  // overwritten per survivor and only read for that survivor's own nodes.
+  std::vector<uint64_t> lidOf(numGlobalNodes);
   for (uint32_t s : survivors) {
     DistGraph& dst = out[slotOf[s]];
     support::DynamicBitset incident(numGlobalNodes);
@@ -184,20 +192,16 @@ std::vector<DistGraph> redistributePartitions(
         dst.localToGlobal.push_back(gid);  // mirrors, ascending
       }
     }
-    dst.globalToLocal.reserve(dst.localToGlobal.size());
-    for (uint64_t lid = 0; lid < dst.localToGlobal.size(); ++lid) {
-      dst.globalToLocal.emplace(dst.localToGlobal[lid], lid);
-    }
     dst.masterHostOfLocal.resize(dst.localToGlobal.size());
     for (uint64_t lid = 0; lid < dst.localToGlobal.size(); ++lid) {
+      lidOf[dst.localToGlobal[lid]] = lid;
       dst.masterHostOfLocal[lid] = slotOf[newMasterOf[dst.localToGlobal[lid]]];
     }
 
     std::vector<graph::Edge> local;
     local.reserve(edgesOf[s].size());
     for (const GEdge& e : edgesOf[s]) {
-      local.push_back(graph::Edge{dst.globalToLocal.at(e.row),
-                                  dst.globalToLocal.at(e.col), e.data});
+      local.push_back(graph::Edge{lidOf[e.row], lidOf[e.col], e.data});
     }
     std::sort(local.begin(), local.end());  // canonical sorted rows
     dst.graph =
@@ -212,8 +216,7 @@ std::vector<DistGraph> redistributePartitions(
       const uint64_t gid = pb.localToGlobal[lid];
       const uint32_t a = newMasterOf[gid];
       pb.myMirrorsByOwner[slotOf[a]].push_back(lid);
-      out[slotOf[a]].mirrorsOnHost[slotOf[b]].push_back(
-          out[slotOf[a]].globalToLocal.at(gid));
+      out[slotOf[a]].mirrorsOnHost[slotOf[b]].push_back(masterLidOf[gid]);
     }
   }
   return out;

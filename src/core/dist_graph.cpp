@@ -115,10 +115,6 @@ DistGraph deserializeDistGraph(support::RecvBuffer& buf) {
   part.graph = graph::CsrGraph(std::move(rowStart), std::move(dests),
                                std::move(edgeData));
   support::deserializeAll(buf, part.mirrorsOnHost, part.myMirrorsByOwner);
-  part.globalToLocal.reserve(part.localToGlobal.size());
-  for (uint64_t lid = 0; lid < part.localToGlobal.size(); ++lid) {
-    part.globalToLocal.emplace(part.localToGlobal[lid], lid);
-  }
   if (part.numMasters > part.numLocalNodes() ||
       part.masterHostOfLocal.size() != part.numLocalNodes() ||
       part.graph.numNodes() != part.numLocalNodes() ||
@@ -204,7 +200,15 @@ void validatePartitions(const graph::CsrGraph& original,
     if (part.graph.numNodes() != part.numLocalNodes()) {
       fail("local CSR node count mismatch on host " + std::to_string(h));
     }
-    // Layout: masters sorted, then mirrors sorted; globalToLocal inverse.
+    // Layout: masters sorted, then mirrors sorted (checked first: localIdOf
+    // searches each segment), and localIdOf the inverse of localToGlobal.
+    for (uint64_t lid = 0; lid + 1 < part.numLocalNodes(); ++lid) {
+      if (lid + 1 != part.numMasters &&
+          part.localToGlobal[lid + 1] <= part.localToGlobal[lid]) {
+        fail("local ids not sorted by global id within segment on host " +
+             std::to_string(h));
+      }
+    }
     for (uint64_t lid = 0; lid < part.numLocalNodes(); ++lid) {
       const uint64_t gid = part.localToGlobal[lid];
       if (gid >= numGlobal) {
@@ -212,12 +216,7 @@ void validatePartitions(const graph::CsrGraph& original,
       }
       auto found = part.localIdOf(gid);
       if (!found || *found != lid) {
-        fail("globalToLocal not inverse of localToGlobal on host " +
-             std::to_string(h));
-      }
-      if (lid + 1 < part.numLocalNodes() && lid + 1 != part.numMasters &&
-          part.localToGlobal[lid + 1] <= gid) {
-        fail("local ids not sorted by global id within segment on host " +
+        fail("localIdOf not inverse of localToGlobal on host " +
              std::to_string(h));
       }
       if (part.isMaster(lid)) {

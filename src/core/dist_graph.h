@@ -9,11 +9,11 @@
 // vertex's master.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -34,9 +34,9 @@ struct DistGraph {
   bool isTransposed = false;  // true if `graph` holds the CSC orientation
 
   // Local ids [0, numMasters) are masters; [numMasters, numLocal) mirrors.
+  // Each segment is sorted by global id, so localIdOf needs no inverse map.
   uint64_t numMasters = 0;
   std::vector<uint64_t> localToGlobal;
-  std::unordered_map<uint64_t, uint64_t> globalToLocal;
 
   // Host holding the master proxy of each local node (== hostId for
   // masters).
@@ -58,12 +58,20 @@ struct DistGraph {
   bool isMaster(uint64_t localId) const { return localId < numMasters; }
 
   uint64_t globalId(uint64_t localId) const { return localToGlobal[localId]; }
+  // Binary search of the master segment, then of the mirror segment.
   std::optional<uint64_t> localIdOf(uint64_t globalId) const {
-    auto it = globalToLocal.find(globalId);
-    if (it == globalToLocal.end()) {
-      return std::nullopt;
+    const auto begin = localToGlobal.begin();
+    const auto end = localToGlobal.end();
+    const auto mid = begin + static_cast<std::ptrdiff_t>(
+                                 std::min(numMasters, numLocalNodes()));
+    auto it = std::lower_bound(begin, mid, globalId);
+    if (it == mid || *it != globalId) {
+      it = std::lower_bound(mid, end, globalId);
+      if (it == end || *it != globalId) {
+        return std::nullopt;
+      }
     }
-    return it->second;
+    return static_cast<uint64_t>(it - begin);
   }
 
   // Materializes this partition's edges with global endpoints (and edge
@@ -102,17 +110,17 @@ DistGraph loadDistGraph(const std::string& path);
 
 // In-memory (de)serialization of the full DistGraph, shared by the .cdg
 // file format and the phase-5 partitioning checkpoints. The byte stream is
-// deterministic for a given partition (globalToLocal is rebuilt from
-// localToGlobal, never serialized), so bit-identical partitions produce
+// deterministic for a given partition, so bit-identical partitions produce
 // bit-identical streams — the property the recovery tests compare on.
 void serializeDistGraph(support::SendBuffer& buf, const DistGraph& part);
 DistGraph deserializeDistGraph(support::RecvBuffer& buf);
 
 // Exhaustive structural validation of a partition set against the original
 // graph; throws std::logic_error with a description on the first violation.
-// Checks: exactly one master per vertex, local id layout, globalToLocal
-// consistency, mirror metadata pairing across hosts, and (optionally) the
-// edge multiset. Used by tests and by examples in debug mode.
+// Checks: exactly one master per vertex, local id layout (sorted segments,
+// localIdOf the inverse of localToGlobal), mirror metadata pairing across
+// hosts, and (optionally) the edge multiset. Used by tests and by examples
+// in debug mode.
 void validatePartitions(const graph::CsrGraph& original,
                         std::span<const DistGraph> partitions,
                         bool checkEdgeMultiset = true);

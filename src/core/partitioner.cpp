@@ -5,11 +5,12 @@
 #include <chrono>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/checkpoint.h"
 #include "core/degraded.h"
+#include "core/edge_rules.h"
 #include "obs/obs.h"
 #include "support/bitset.h"
 #include "support/logging.h"
@@ -27,6 +28,48 @@ using graph::ReadRange;
 using support::DynamicBitset;
 using support::RecvBuffer;
 using support::SendBuffer;
+
+// Sentinel of the job's global -> local id table for nodes not on this host.
+inline constexpr uint32_t kNoLocal = UINT32_MAX;
+
+// Sets a mirror flag unless it is already set: most flags repeat, and a
+// plain load is cheaper than the atomic read-modify-write.
+inline void flagOnce(DynamicBitset& flags, uint64_t index) {
+  if (!flags.test(index)) {
+    flags.set(index);
+  }
+}
+
+using FlaggedMirrors = std::vector<std::pair<uint64_t, uint32_t>>;
+
+// Merges per-host (gid, master) lists, each sorted by gid, into one sorted
+// list without repeated gids (several hosts may flag the same mirror; they
+// agree on its master). Pairwise rounds keep the cost O(n log k).
+FlaggedMirrors mergeFlaggedMirrors(std::vector<FlaggedMirrors> lists) {
+  if (lists.empty()) {
+    return {};
+  }
+  while (lists.size() > 1) {
+    std::vector<FlaggedMirrors> next;
+    for (size_t i = 0; i + 1 < lists.size(); i += 2) {
+      FlaggedMirrors merged(lists[i].size() + lists[i + 1].size());
+      std::merge(lists[i].begin(), lists[i].end(), lists[i + 1].begin(),
+                 lists[i + 1].end(), merged.begin());
+      next.push_back(std::move(merged));
+    }
+    if (lists.size() % 2 == 1) {
+      next.push_back(std::move(lists.back()));
+    }
+    lists = std::move(next);
+  }
+  FlaggedMirrors& out = lists.front();
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.first == b.first;
+                        }),
+            out.end());
+  return std::move(out);
+}
 
 // One host's partitioning job; phase methods run in order and share state
 // through the members. All inter-host data moves through `net`.
@@ -280,7 +323,7 @@ class PartitionJob {
   }
 
   // Master-assignment outputs, needed by every later phase (masterOf).
-  // Pure-master policies recompute assignments on demand, so only the
+  // Pure-master policies recompute assignments after a restore, so only the
   // partitioning-state snapshot is stored for them.
   void serializeMasterSection(SendBuffer& buf) const {
     const uint8_t stateful = pureMasterPath() ? 0 : 1;
@@ -291,9 +334,13 @@ class PartitionJob {
         masters[i] = masterOfMine_[i].load(std::memory_order_relaxed);
       }
       support::serialize(buf, masters);
-      std::vector<std::pair<uint64_t, uint32_t>> remote(
-          remoteMasters_.begin(), remoteMasters_.end());
-      std::sort(remote.begin(), remote.end());
+      // The received assignments: every known entry outside my range.
+      std::vector<std::pair<uint64_t, uint32_t>> remote;
+      for (uint64_t gid = 0; gid < masterTable_.size(); ++gid) {
+        if (masterTable_[gid] != kNoMaster && !inMyRange(gid)) {
+          remote.emplace_back(gid, masterTable_[gid]);
+        }
+      }
       support::serialize(buf, remote);
     }
     state_.serializeSnapshot(buf);
@@ -311,8 +358,13 @@ class PartitionJob {
       }
       std::vector<std::pair<uint64_t, uint32_t>> remote;
       support::deserialize(buf, remote);
-      remoteMasters_.clear();
-      remoteMasters_.insert(remote.begin(), remote.end());
+      masterTable_.assign(prop_.getNumNodes(), kNoMaster);
+      for (const auto& [gid, part] : remote) {
+        masterTable_.at(gid) = part;
+      }
+      publishOwnMasters();
+    } else {
+      fillPureMasterTable();
     }
     state_.restoreSnapshot(buf);
   }
@@ -320,18 +372,12 @@ class PartitionJob {
   // Edge-assignment outputs, needed to enter graph allocation.
   void serializeEdgeSection(SendBuffer& buf) const {
     support::serialize(buf, countsFrom_);
-    std::vector<std::pair<uint64_t, uint32_t>> mirrors(
-        mirrorMasterHost_.begin(), mirrorMasterHost_.end());
-    std::sort(mirrors.begin(), mirrors.end());
-    support::serializeAll(buf, mirrors, myMasterNodes_);
+    support::serializeAll(buf, mirrorMasters_, myMasterNodes_);
   }
 
   void restoreEdgeSection(RecvBuffer& buf) {
     support::deserialize(buf, countsFrom_);
-    std::vector<std::pair<uint64_t, uint32_t>> mirrors;
-    support::deserializeAll(buf, mirrors, myMasterNodes_);
-    mirrorMasterHost_.clear();
-    mirrorMasterHost_.insert(mirrors.begin(), mirrors.end());
+    support::deserializeAll(buf, mirrorMasters_, myMasterNodes_);
   }
 
   // Allocation outputs, needed to enter graph construction. The local CSR
@@ -353,11 +399,7 @@ class PartitionJob {
                             result_.masterHostOfLocal, result_.mirrorsOnHost,
                             result_.myMirrorsByOwner, localRowStart_,
                             expectedRemoteEdges_);
-    result_.globalToLocal.clear();
-    result_.globalToLocal.reserve(result_.localToGlobal.size());
-    for (uint64_t lid = 0; lid < result_.localToGlobal.size(); ++lid) {
-      result_.globalToLocal.emplace(result_.localToGlobal[lid], lid);
-    }
+    buildLocalIdTable();
     localDests_.assign(localRowStart_.back(), 0);
     if (file_.hasEdgeData()) {
       localEdgeData_.assign(localRowStart_.back(), 0);
@@ -589,7 +631,7 @@ class PartitionJob {
   void phaseMasterAssignment() {
     if (pureMasterPath()) {
       // Pure rule: replicate computation instead of communicating (paper
-      // IV-D5). masterOf() calls the rule directly; nothing to do here.
+      // IV-D5). Edge assignment fills the master table; nothing to do here.
       return;
     }
     masterOfMine_ =
@@ -597,6 +639,7 @@ class PartitionJob {
     for (auto& m : masterOfMine_) {
       m.store(kNoMaster, std::memory_order_relaxed);
     }
+    masterTable_.assign(prop_.getNumNodes(), kNoMaster);
 
     // Pre-request the master assignments this host will need: the
     // destinations of its read edges (they are both the Fennel scoring
@@ -660,8 +703,7 @@ class PartitionJob {
       if (inMyRange(gid)) {
         return masterOfMine_[windowIndex(gid)].load(std::memory_order_relaxed);
       }
-      auto it = remoteMasters_.find(gid);
-      return it == remoteMasters_.end() ? kNoMaster : it->second;
+      return gid < masterTable_.size() ? masterTable_[gid] : kNoMaster;
     };
     for (uint64_t r = 0; r < rounds; ++r) {
       const uint64_t begin = std::min(myNumNodes(), r * chunk);
@@ -714,9 +756,10 @@ class PartitionJob {
     totalReceived +=
         drainMasterAssignments(true, totalExpected - totalReceived);
     state_.finishExchanges(net_, me_);
+    publishOwnMasters();
   }
 
-  // Receives kTagMasterAssign messages into remoteMasters_. Non-blocking
+  // Receives kTagMasterAssign messages into the master table. Non-blocking
   // drains everything currently queued; blocking receives until `pending`
   // more assignments have arrived. Returns the number of assignments read.
   uint64_t drainMasterAssignments(bool blocking, uint64_t pending) {
@@ -726,7 +769,7 @@ class PartitionJob {
       std::vector<uint32_t> parts;
       support::deserializeAll(msg.payload, gids, parts);
       for (size_t i = 0; i < gids.size(); ++i) {
-        remoteMasters_[gids[i]] = parts[i];
+        masterTable_.at(gids[i]) = parts[i];
       }
       received += gids.size();
     };
@@ -743,17 +786,49 @@ class PartitionJob {
     return received;
   }
 
+  // Stateful path: copies this host's own assignments into the master
+  // table once phase 2 (or its restore) is complete.
+  void publishOwnMasters() {
+    for (uint64_t idx = 0; idx < masterOfMine_.size(); ++idx) {
+      masterTable_[myRange_.nodeBegin + idx] =
+          masterOfMine_[idx].load(std::memory_order_relaxed);
+    }
+  }
+
+  // Pure path: every host computes every node's master, once per job (paper
+  // IV-D5: replicate the computation instead of communicating it).
+  void fillPureMasterTable() {
+    if (!masterTable_.empty()) {
+      return;
+    }
+    static const MasterLookup noLookup;
+    masterTable_.resize(prop_.getNumNodes());
+    support::parallelForBlocked(
+        0, masterTable_.size(),
+        [&](unsigned, uint64_t lo, uint64_t hi) {
+          for (uint64_t gid = lo; gid < hi; ++gid) {
+            masterTable_[gid] =
+                policy_.master.fn(prop_, gid, state_, noLookup);
+          }
+        },
+        config_.threadsPerHost);
+  }
+
   // Master of any node this host legitimately queries: its own read nodes
-  // and the destinations of its read edges.
-  uint32_t masterOf(uint64_t gid) {
-    if (pureMasterPath()) {
-      static const MasterLookup noLookup;
-      return policy_.master.fn(prop_, gid, state_, noLookup);
+  // and the destinations of its read edges (every node for pure rules).
+  uint32_t masterOf(uint64_t gid) const {
+    const uint32_t master =
+        gid < masterTable_.size() ? masterTable_[gid] : kNoMaster;
+    if (master == kNoMaster) {
+      throwUnknown("the master of", gid);
     }
-    if (inMyRange(gid)) {
-      return masterOfMine_[windowIndex(gid)].load(std::memory_order_relaxed);
-    }
-    return remoteMasters_.at(gid);
+    return master;
+  }
+
+  [[noreturn]] void throwUnknown(const char* what, uint64_t gid) const {
+    throw std::out_of_range("partitioner: host " + std::to_string(me_) +
+                            " does not know " + what + " node " +
+                            std::to_string(gid));
   }
 
   // ---- streaming-window support (ADWISE class, paper II-B2) -------------
@@ -811,57 +886,17 @@ class PartitionJob {
 
   void phaseEdgeAssignment() {
     const uint32_t k = numHosts();
+    if (pureMasterPath()) {
+      fillPureMasterTable();
+    }
     outCounts_.assign(k, std::vector<uint64_t>(myNumNodes(), 0));
     std::vector<DynamicBitset> mirrorFlags(k);
     for (auto& flags : mirrorFlags) {
       flags.resize(prop_.getNumNodes());
     }
-    auto recordEdge = [&](uint64_t s, uint64_t d) {
-      const uint32_t sMaster = masterOf(s);
-      const uint32_t dMaster = masterOf(d);
-      const uint32_t owner =
-          policy_.edge.fn(prop_, s, d, sMaster, dMaster, state_);
-      ++outCounts_[owner][windowIndex(s)];
-      if (owner != dMaster) {
-        mirrorFlags[owner].set(d);
-      }
-      if (owner != sMaster) {
-        mirrorFlags[owner].set(s);
-      }
-    };
-    if (windowedMode()) {
-      forEachEdgeWindowed(
-          [&](uint64_t s, uint64_t e) { recordEdge(s, winDests_[e]); });
-    } else if (streamingWindows_) {
-      // Sequential chunk walk in ascending node order — the same edge
-      // visit order as the single-threaded resident path, so stateful
-      // policies evolve identically and outputs stay bit-identical.
-      forEachChunk([&](const Chunk& chunk,
-                       const std::vector<uint64_t>& dests,
-                       const std::vector<uint32_t>&) {
-        for (uint64_t idx = chunk.nodeBegin; idx < chunk.nodeEnd; ++idx) {
-          const uint64_t s = myRange_.nodeBegin + idx;
-          const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
-          const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
-          for (uint64_t e = eBegin; e < eEnd; ++e) {
-            recordEdge(s, dests[e]);
-          }
-        }
-      });
-    } else {
-      const unsigned threads =
-          policy_.edge.usesState ? 1 : config_.threadsPerHost;
-      support::parallelFor(
-          0, myNumNodes(),
-          [&](uint64_t idx) {
-            const uint64_t s = myRange_.nodeBegin + idx;
-            const auto [eBegin, eEnd] = windowEdges(s);
-            for (uint64_t e = eBegin; e < eEnd; ++e) {
-              recordEdge(s, winDests_[e]);
-            }
-          },
-          threads);
-    }
+    visitEdgeRule(policy_.edge.fn, [&](const auto& edgeOwner) {
+      assignEdges(edgeOwner, mirrorFlags);
+    });
     if (policy_.edge.usesState) {
       state_.synchronize(net_, me_);
     }
@@ -897,14 +932,17 @@ class PartitionJob {
       writer.commit();
     }
     net_.flushAggregated(me_);  // blocking on every peer's counts next
-    // Local contribution (host == me) is absorbed directly.
+    // Local contribution (host == me) is absorbed directly. Every host's
+    // flag list is sorted by gid, so one merge yields the sorted union.
     countsFrom_.assign(k, {});
     countsFrom_[me_] = outCounts_[me_];
+    std::vector<FlaggedMirrors> flagged(k);
     {
       std::vector<uint64_t> gids;
       mirrorFlags[me_].collectSetBits(gids);
+      flagged[me_].reserve(gids.size());
       for (uint64_t gid : gids) {
-        mirrorMasterHost_[gid] = masterOf(gid);
+        flagged[me_].emplace_back(gid, masterOf(gid));
       }
     }
     for (HostId h = 0; h < k; ++h) {
@@ -917,17 +955,19 @@ class PartitionJob {
       std::vector<uint64_t> gids;
       std::vector<uint32_t> masters;
       support::deserializeAll(mirrorMsg.payload, gids, masters);
+      flagged[h].reserve(gids.size());
       for (size_t i = 0; i < gids.size(); ++i) {
-        mirrorMasterHost_[gids[i]] = masters[i];
+        flagged[h].emplace_back(gids[i], masters[i]);
       }
     }
+    mirrorMasters_ = mergeFlaggedMirrors(std::move(flagged));
 
     // Master lists: which global nodes is this host the master of? For pure
     // rules each host replicates the computation over all nodes (IV-D5);
     // stateful rules exchange the lists computed by the reading hosts.
     if (pureMasterPath()) {
-      for (uint64_t gid = 0; gid < prop_.getNumNodes(); ++gid) {
-        if (masterOf(gid) == me_) {
+      for (uint64_t gid = 0; gid < masterTable_.size(); ++gid) {
+        if (masterTable_[gid] == me_) {
           myMasterNodes_.push_back(gid);
         }
       }
@@ -960,6 +1000,61 @@ class PartitionJob {
     }
   }
 
+  // The per-edge loop of edge assignment, one source for every edge rule:
+  // `edgeOwner` is a built-in functor (inlined) or the rule's std::function.
+  template <typename EdgeOwner>
+  void assignEdges(const EdgeOwner& edgeOwner,
+                   std::vector<DynamicBitset>& mirrorFlags) {
+    auto recordEdge = [&](uint64_t idx, uint64_t s, uint32_t sMaster,
+                          uint64_t d) {
+      const uint32_t dMaster = masterOf(d);
+      const uint32_t owner = edgeOwner(prop_, s, d, sMaster, dMaster, state_);
+      ++outCounts_[owner][idx];
+      if (owner != dMaster) {
+        flagOnce(mirrorFlags[owner], d);
+      }
+      if (owner != sMaster) {
+        flagOnce(mirrorFlags[owner], s);
+      }
+    };
+    if (windowedMode()) {
+      forEachEdgeWindowed([&](uint64_t s, uint64_t e) {
+        recordEdge(windowIndex(s), s, masterOf(s), winDests_[e]);
+      });
+    } else if (streamingWindows_) {
+      // Sequential chunk walk in ascending node order — the same edge
+      // visit order as the single-threaded resident path, so stateful
+      // policies evolve identically and outputs stay bit-identical.
+      forEachChunk([&](const Chunk& chunk,
+                       const std::vector<uint64_t>& dests,
+                       const std::vector<uint32_t>&) {
+        for (uint64_t idx = chunk.nodeBegin; idx < chunk.nodeEnd; ++idx) {
+          const uint64_t s = myRange_.nodeBegin + idx;
+          const uint32_t sMaster = masterOf(s);
+          const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
+          const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
+          for (uint64_t e = eBegin; e < eEnd; ++e) {
+            recordEdge(idx, s, sMaster, dests[e]);
+          }
+        }
+      });
+    } else {
+      const unsigned threads =
+          policy_.edge.usesState ? 1 : config_.threadsPerHost;
+      support::parallelFor(
+          0, myNumNodes(),
+          [&](uint64_t idx) {
+            const uint64_t s = myRange_.nodeBegin + idx;
+            const uint32_t sMaster = masterOf(s);
+            const auto [eBegin, eEnd] = windowEdges(s);
+            for (uint64_t e = eBegin; e < eEnd; ++e) {
+              recordEdge(idx, s, sMaster, winDests_[e]);
+            }
+          },
+          threads);
+    }
+  }
+
   // ---- phase 4: graph allocation -----------------------------------------
 
   void phaseGraphAllocation() {
@@ -969,31 +1064,19 @@ class PartitionJob {
     result_.numGlobalNodes = prop_.getNumNodes();
     result_.numGlobalEdges = prop_.getNumEdges();
 
-    // Local id space: masters (sorted), then mirrors (sorted). A node in
-    // mirrorMasterHost_ whose master is this host is already in the master
-    // list, not a mirror.
-    std::vector<uint64_t> mirrors;
-    mirrors.reserve(mirrorMasterHost_.size());
-    for (const auto& [gid, owner] : mirrorMasterHost_) {
-      if (owner != me_) {
-        mirrors.push_back(gid);
-      }
-    }
-    std::sort(mirrors.begin(), mirrors.end());
+    // Local id space: masters (sorted), then mirrors (sorted). A flagged
+    // node whose master is this host is already in the master list, not a
+    // mirror.
     result_.numMasters = myMasterNodes_.size();
     result_.localToGlobal = myMasterNodes_;
-    result_.localToGlobal.insert(result_.localToGlobal.end(), mirrors.begin(),
-                                 mirrors.end());
-    result_.globalToLocal.reserve(result_.localToGlobal.size());
-    for (uint64_t lid = 0; lid < result_.localToGlobal.size(); ++lid) {
-      result_.globalToLocal.emplace(result_.localToGlobal[lid], lid);
+    result_.masterHostOfLocal.assign(result_.numMasters, me_);
+    for (const auto& [gid, owner] : mirrorMasters_) {
+      if (owner != me_) {
+        result_.localToGlobal.push_back(gid);
+        result_.masterHostOfLocal.push_back(owner);
+      }
     }
-    result_.masterHostOfLocal.assign(result_.localToGlobal.size(), me_);
-    for (uint64_t lid = result_.numMasters;
-         lid < result_.localToGlobal.size(); ++lid) {
-      result_.masterHostOfLocal[lid] =
-          mirrorMasterHost_.at(result_.localToGlobal[lid]);
-    }
+    buildLocalIdTable();
 
     // Per-local-node out-edge counts from the received positional vectors;
     // prefix sum gives the CSR row offsets, and edges can then be inserted
@@ -1007,7 +1090,7 @@ class PartitionJob {
           continue;
         }
         const uint64_t gid = ranges_[h].nodeBegin + idx;
-        localOutCount[result_.globalToLocal.at(gid)] += counts[idx];
+        localOutCount[localIdOf(gid)] += counts[idx];
         if (h != me_) {
           expectedRemoteEdges_ += counts[idx];
         }
@@ -1058,13 +1141,37 @@ class PartitionJob {
       auto& lids = result_.mirrorsOnHost[h];
       lids.reserve(gids.size());
       for (uint64_t gid : gids) {
-        lids.push_back(result_.globalToLocal.at(gid));
+        lids.push_back(localIdOf(gid));
       }
     }
 
     // Reset partitioning state so construction's getEdgeOwner calls see the
     // same values edge assignment saw (paper IV-B4).
     state_.reset();
+  }
+
+  // Dense global -> local id table over every node id, read by
+  // construction's inserts on the main and receiver threads.
+  void buildLocalIdTable() {
+    const auto& localToGlobal = result_.localToGlobal;
+    if (localToGlobal.size() >= kNoLocal) {
+      throw std::length_error("partitioner: too many local nodes for the "
+                              "32-bit local id table");
+    }
+    localIdTable_.assign(prop_.getNumNodes(), kNoLocal);
+    for (uint64_t lid = 0; lid < localToGlobal.size(); ++lid) {
+      localIdTable_.at(localToGlobal[lid]) = static_cast<uint32_t>(lid);
+    }
+  }
+
+  // Local id of a node on this host; throws std::out_of_range otherwise.
+  uint64_t localIdOf(uint64_t gid) const {
+    const uint32_t lid =
+        gid < localIdTable_.size() ? localIdTable_[gid] : kNoLocal;
+    if (lid == kNoLocal) {
+      throwUnknown("a local id for", gid);
+    }
+    return lid;
   }
 
   // ---- phase 5: graph construction (paper Algorithm 4) -------------------
@@ -1078,12 +1185,12 @@ class PartitionJob {
     std::thread receiver([&] {
       try {
         uint64_t received = 0;
+        uint64_t srcGid = 0;
+        std::vector<uint64_t> dsts;  // reused across records
+        std::vector<uint32_t> weights;
         while (received < expectedRemoteEdges_) {
           auto msg = net_.recv(me_, comm::kTagEdgeBatch);
           while (!msg.payload.exhausted()) {
-            uint64_t srcGid = 0;
-            std::vector<uint64_t> dsts;
-            std::vector<uint32_t> weights;
             support::deserialize(msg.payload, srcGid);
             if (config_.compressEdgeBatches) {
               const auto block =
@@ -1109,7 +1216,9 @@ class PartitionJob {
     // a send crossing) must not leave the receiver thread joinable: abort
     // the network so it unwinds, join it, then propagate.
     try {
-      streamAndSendEdges(withData);
+      visitEdgeRule(policy_.edge.fn, [&](const auto& edgeOwner) {
+        streamAndSendEdges(edgeOwner, withData);
+      });
     } catch (...) {
       net_.abort();
       receiver.join();
@@ -1134,8 +1243,10 @@ class PartitionJob {
   }
 
   // The streaming half of graph construction: re-assign every read edge
-  // and either insert it locally or ship it to its owner.
-  void streamAndSendEdges(bool withData) {
+  // and either insert it locally or ship it to its owner. One source for
+  // every edge rule, as in assignEdges.
+  template <typename EdgeOwner>
+  void streamAndSendEdges(const EdgeOwner& edgeOwner, bool withData) {
     if (windowedMode()) {
       // Windowed mode replays the exact priority order of edge assignment
       // (same initial state, same scores), shipping one edge per record.
@@ -1144,7 +1255,7 @@ class PartitionJob {
       forEachEdgeWindowed([&](uint64_t s, uint64_t e) {
         const uint64_t d = winDests_[e];
         const uint32_t owner =
-            policy_.edge.fn(prop_, s, d, masterOf(s), masterOf(d), state_);
+            edgeOwner(prop_, s, d, masterOf(s), masterOf(d), state_);
         std::vector<uint64_t> oneDst{d};
         std::vector<uint32_t> oneWeight =
             withData ? std::vector<uint32_t>{winEdgeData_[e]}
@@ -1187,8 +1298,8 @@ class PartitionJob {
           }
           for (uint64_t e = eBegin; e < eEnd; ++e) {
             const uint64_t d = dests[e];
-            const uint32_t owner = policy_.edge.fn(prop_, s, d, sMaster,
-                                                   masterOf(d), state_);
+            const uint32_t owner =
+                edgeOwner(prop_, s, d, sMaster, masterOf(d), state_);
             dstsFor[owner].push_back(d);
             if (withData) {
               weightsFor[owner].push_back(weights[e]);
@@ -1236,8 +1347,8 @@ class PartitionJob {
             }
             for (uint64_t e = eBegin; e < eEnd; ++e) {
               const uint64_t d = winDests_[e];
-              const uint32_t owner = policy_.edge.fn(prop_, s, d, sMaster,
-                                                     masterOf(d), state_);
+              const uint32_t owner =
+                  edgeOwner(prop_, s, d, sMaster, masterOf(d), state_);
               dstsFor[owner].push_back(d);
               if (withData) {
                 weightsFor[owner].push_back(winEdgeData_[e]);
@@ -1262,11 +1373,11 @@ class PartitionJob {
 
   void insertEdges(uint64_t srcGid, const std::vector<uint64_t>& dsts,
                    const std::vector<uint32_t>& weights) {
-    const uint64_t srcLid = result_.globalToLocal.at(srcGid);
+    const uint64_t srcLid = localIdOf(srcGid);
     const uint64_t base = insertCursor_[srcLid].fetch_add(
         dsts.size(), std::memory_order_relaxed);
     for (size_t i = 0; i < dsts.size(); ++i) {
-      localDests_[base + i] = result_.globalToLocal.at(dsts[i]);
+      localDests_[base + i] = localIdOf(dsts[i]);
       if (!weights.empty()) {
         localEdgeData_[base + i] = weights[i];
       }
@@ -1306,29 +1417,64 @@ class PartitionJob {
     }
   }
 
+  // Canonicalizes every row to ascending (local destination, edge data)
+  // order: rows arrive in nondeterministic order. Two counting-sort passes
+  // over the whole local CSR replace a comparison sort per row: bucket the
+  // edges by destination (each bucket lists its source rows in row order),
+  // then walk the buckets in destination order, appending each destination
+  // to its source's row. Parallel edges keep their arrival order through
+  // both passes, so a last scan sorts each such run by edge data.
   void sortRows(bool withData) {
-    support::parallelFor(
-        0, result_.localToGlobal.size(),
-        [&](uint64_t lid) {
-          const uint64_t lo = localRowStart_[lid];
-          const uint64_t hi = localRowStart_[lid + 1];
-          if (withData) {
-            std::vector<std::pair<uint64_t, uint32_t>> row;
-            row.reserve(hi - lo);
-            for (uint64_t e = lo; e < hi; ++e) {
-              row.emplace_back(localDests_[e], localEdgeData_[e]);
-            }
-            std::sort(row.begin(), row.end());
-            for (uint64_t e = lo; e < hi; ++e) {
-              localDests_[e] = row[e - lo].first;
-              localEdgeData_[e] = row[e - lo].second;
-            }
-          } else {
-            std::sort(localDests_.begin() + static_cast<ptrdiff_t>(lo),
-                      localDests_.begin() + static_cast<ptrdiff_t>(hi));
-          }
-        },
-        config_.threadsPerHost);
+    const uint64_t n = result_.localToGlobal.size();
+    const uint64_t m = localRowStart_.back();
+    std::vector<uint64_t> bucketEnd(n + 1, 0);
+    for (uint64_t e = 0; e < m; ++e) {
+      ++bucketEnd[localDests_[e] + 1];
+    }
+    for (uint64_t v = 0; v < n; ++v) {
+      bucketEnd[v + 1] += bucketEnd[v];
+    }
+    // Local ids fit 32 bits (buildLocalIdTable checks).
+    std::vector<uint32_t> srcOf(m);
+    std::vector<uint32_t> dataOf(withData ? m : 0);
+    for (uint64_t u = 0; u < n; ++u) {
+      for (uint64_t e = localRowStart_[u]; e < localRowStart_[u + 1]; ++e) {
+        const uint64_t slot = bucketEnd[localDests_[e]]++;
+        srcOf[slot] = static_cast<uint32_t>(u);
+        if (withData) {
+          dataOf[slot] = localEdgeData_[e];
+        }
+      }
+    }
+    std::vector<uint64_t> cursor(localRowStart_.begin(),
+                                 localRowStart_.end() - 1);
+    uint64_t slot = 0;
+    for (uint64_t v = 0; v < n; ++v) {
+      for (; slot < bucketEnd[v]; ++slot) {
+        const uint64_t e = cursor[srcOf[slot]]++;
+        localDests_[e] = v;
+        if (withData) {
+          localEdgeData_[e] = dataOf[slot];
+        }
+      }
+    }
+    if (!withData) {
+      return;
+    }
+    for (uint64_t u = 0; u < n; ++u) {
+      const uint64_t hi = localRowStart_[u + 1];
+      for (uint64_t e = localRowStart_[u]; e < hi;) {
+        uint64_t runEnd = e + 1;
+        while (runEnd < hi && localDests_[runEnd] == localDests_[e]) {
+          ++runEnd;
+        }
+        if (runEnd - e > 1) {
+          uint32_t* data = localEdgeData_.data();
+          std::sort(data + e, data + runEnd);
+        }
+        e = runEnd;
+      }
+    }
   }
 
   // --- inputs ---
@@ -1369,14 +1515,21 @@ class PartitionJob {
   // --- master assignment ---
   PartitionState state_;
   std::vector<std::atomic<uint32_t>> masterOfMine_;  // stateful rules only
-  std::unordered_map<uint64_t, uint32_t> remoteMasters_;
+  // Master of each node this host queries, by global id; kNoMaster for the
+  // rest. Pure rules fill every entry at the start of edge assignment;
+  // stateful rules get remote entries from phase 2's replies and their own
+  // range when phase 2 ends.
+  std::vector<uint32_t> masterTable_;
 
   // --- edge assignment / allocation ---
   std::vector<std::vector<uint64_t>> outCounts_;   // [host][window index]
   std::vector<std::vector<uint64_t>> countsFrom_;  // [host][their index]
-  std::unordered_map<uint64_t, uint32_t> mirrorMasterHost_;
+  // Every node some host flagged as a mirror here, with its master, sorted
+  // by gid (nodes whose master is this host included).
+  FlaggedMirrors mirrorMasters_;
   std::vector<uint64_t> myMasterNodes_;
   uint64_t expectedRemoteEdges_ = 0;
+  std::vector<uint32_t> localIdTable_;  // global -> local id, or kNoLocal
 
   // --- construction ---
   // The local CSR edge arrays are the partition being built — they must be

@@ -5,6 +5,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "core/edge_rules.h"
 #include "support/random.h"
 
 namespace cusp::core {
@@ -230,46 +231,28 @@ MasterRule masterFromMap(std::shared_ptr<const std::vector<uint32_t>> map) {
 EdgeRule edgeSource() {
   EdgeRule rule;
   rule.name = "Source";
-  rule.fn = [](const GraphProperties&, uint64_t, uint64_t, uint32_t srcMaster,
-               uint32_t, PartitionState&) { return srcMaster; };
+  rule.fn = SourceEdgeRule{};
   return rule;
 }
 
 EdgeRule edgeDest() {
   EdgeRule rule;
   rule.name = "Dest";
-  rule.fn = [](const GraphProperties&, uint64_t, uint64_t, uint32_t,
-               uint32_t dstMaster, PartitionState&) { return dstMaster; };
+  rule.fn = DestEdgeRule{};
   return rule;
 }
 
 EdgeRule edgeHybrid(uint64_t degreeThreshold) {
   EdgeRule rule;
   rule.name = "Hybrid";
-  rule.fn = [degreeThreshold](const GraphProperties& prop, uint64_t srcId,
-                              uint64_t, uint32_t srcMaster, uint32_t dstMaster,
-                              PartitionState&) {
-    return prop.getNodeOutDegree(srcId) > degreeThreshold ? dstMaster
-                                                          : srcMaster;
-  };
+  rule.fn = HybridEdgeRule{degreeThreshold};
   return rule;
 }
 
 EdgeRule edgeDbh(uint64_t seed) {
   EdgeRule rule;
   rule.name = "DBH";
-  rule.fn = [seed](const GraphProperties& prop, uint64_t srcId,
-                   uint64_t dstId, uint32_t, uint32_t, PartitionState&) {
-    // Hash the endpoint with the smaller (out-)degree: its edges stay
-    // together while the high-degree endpoint gets replicated. The real
-    // DBH uses total degrees; prop exposes out-degrees in CSR reading
-    // (reading CSC swaps the roles, as with the other policies).
-    const uint64_t anchor =
-        prop.getNodeOutDegree(srcId) <= prop.getNodeOutDegree(dstId) ? srcId
-                                                                     : dstId;
-    return static_cast<uint32_t>(support::hashU64(anchor ^ seed) %
-                                 prop.getNumPartitions());
-  };
+  rule.fn = DbhEdgeRule{seed};
   return rule;
 }
 
@@ -393,29 +376,10 @@ EdgeRule withWindowScore(EdgeRule rule) {
   return rule;
 }
 
-std::pair<uint32_t, uint32_t> cartesianGrid(uint32_t numPartitions) {
-  if (numPartitions == 0) {
-    throw std::invalid_argument("cartesianGrid: zero partitions");
-  }
-  uint32_t pCols = static_cast<uint32_t>(std::sqrt(numPartitions));
-  while (numPartitions % pCols != 0) {
-    --pCols;
-  }
-  return {numPartitions / pCols, pCols};
-}
-
 EdgeRule edgeCartesian() {
   EdgeRule rule;
   rule.name = "Cartesian";
-  rule.fn = [](const GraphProperties& prop, uint64_t, uint64_t,
-               uint32_t srcMaster, uint32_t dstMaster, PartitionState&) {
-    // Paper Algorithm 2, CARTESIAN: rows blocked, columns cyclic.
-    const auto [pRows, pCols] = cartesianGrid(prop.getNumPartitions());
-    (void)pRows;
-    const uint32_t blockedRowOffset = (srcMaster / pCols) * pCols;
-    const uint32_t cyclicColumnOffset = dstMaster % pCols;
-    return blockedRowOffset + cyclicColumnOffset;
-  };
+  rule.fn = CartesianEdgeRule{};
   return rule;
 }
 

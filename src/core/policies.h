@@ -20,6 +20,13 @@
 //   EEC = ContiguousEB + Source      HVC = ContiguousEB + Hybrid
 //   CVC = ContiguousEB + Cartesian   FEC = FennelEB     + Source
 //   GVC = FennelEB     + Hybrid      SVC = FennelEB     + Cartesian
+//
+// Rules are std::functions, and that does not change for callers. The
+// built-in edge rules Source, Dest, Hybrid, Cartesian and DBH store named
+// functor types (core/edge_rules.h) in EdgeRule::fn; the partitioner finds
+// them with fn.target<T>() and takes a static, inlined path in its per-edge
+// loops. Any other rule, built-in or user-defined, is called through the
+// std::function exactly as before and gets the same partition.
 #pragma once
 
 #include <cstdint>
@@ -159,11 +166,6 @@ double replicaAffinityScore(const GraphProperties& prop, uint64_t srcId,
 // with PartitionerConfig::windowSize > 1 this turns a streaming vertex-cut
 // into a streaming-window one (paper Table I, ADWISE row).
 EdgeRule withWindowScore(EdgeRule rule);
-
-// Factorizes numPartitions into the CVC grid (pRows x pCols, pRows >= pCols,
-// as close to square as possible). Exposed for tests and for the analytics
-// engine's communication-pattern checks.
-std::pair<uint32_t, uint32_t> cartesianGrid(uint32_t numPartitions);
 
 // --- named policies (paper Table II) ---
 

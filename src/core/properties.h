@@ -11,17 +11,38 @@
 // host threads.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <utility>
 
 #include "graph/graph_file.h"
 
 namespace cusp::core {
 
+// Factorizes numPartitions into the CVC grid (pRows x pCols, pRows >= pCols,
+// as close to square as possible). Exposed for tests and for the analytics
+// engine's communication-pattern checks; rules read the grid that
+// GraphProperties computes once.
+inline std::pair<uint32_t, uint32_t> cartesianGrid(uint32_t numPartitions) {
+  if (numPartitions == 0) {
+    throw std::invalid_argument("cartesianGrid: zero partitions");
+  }
+  uint32_t pCols = static_cast<uint32_t>(std::sqrt(numPartitions));
+  while (numPartitions % pCols != 0) {
+    --pCols;
+  }
+  return {numPartitions / pCols, pCols};
+}
+
 class GraphProperties {
  public:
   GraphProperties(const graph::GraphFile& file, uint32_t numPartitions)
-      : file_(&file), numPartitions_(numPartitions) {}
+      : file_(&file),
+        numPartitions_(numPartitions),
+        grid_(numPartitions > 0 ? cartesianGrid(numPartitions)
+                                : std::pair<uint32_t, uint32_t>{0, 0}) {}
 
   uint64_t getNumNodes() const { return file_->numNodes(); }
   uint64_t getNumEdges() const { return file_->numEdges(); }
@@ -41,11 +62,20 @@ class GraphProperties {
     return file_->outNeighbors(node);
   }
 
+  // cartesianGrid(getNumPartitions()), computed at construction.
+  std::pair<uint32_t, uint32_t> getCartesianGrid() const {
+    if (numPartitions_ == 0) {
+      throw std::invalid_argument("cartesianGrid: zero partitions");
+    }
+    return grid_;
+  }
+
   const graph::GraphFile& file() const { return *file_; }
 
  private:
   const graph::GraphFile* file_;
   uint32_t numPartitions_;
+  std::pair<uint32_t, uint32_t> grid_;
 };
 
 }  // namespace cusp::core

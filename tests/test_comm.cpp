@@ -109,6 +109,9 @@ TEST(NetworkTest, OutOfRangeHostThrows) {
   EXPECT_THROW(net.recvFrom(0, 7, kTagGeneric), std::out_of_range);
   EXPECT_THROW(net.tryRecv(3, kTagGeneric), std::out_of_range);
   EXPECT_THROW(net.modeledCommSeconds(2), std::out_of_range);
+  EXPECT_THROW(net.isAlive(2), std::out_of_range);
+  EXPECT_THROW(net.isAlive(kAnyHost), std::out_of_range);
+  EXPECT_TRUE(net.isAlive(1));
   EXPECT_THROW(Network(0), std::invalid_argument);
 }
 

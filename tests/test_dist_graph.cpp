@@ -38,6 +38,78 @@ TEST(DistGraphTest, LocalGlobalMapping) {
   }
 }
 
+// localIdOf searches the two sorted segments of localToGlobal: masters
+// [0, numMasters), then mirrors. Global ids of the two segments interleave.
+DistGraph segmentedPartition(std::vector<uint64_t> masters,
+                             std::vector<uint64_t> mirrors) {
+  DistGraph part;
+  part.numMasters = masters.size();
+  part.localToGlobal = std::move(masters);
+  part.localToGlobal.insert(part.localToGlobal.end(), mirrors.begin(),
+                            mirrors.end());
+  return part;
+}
+
+TEST(DistGraphLocalIdOf, FindsEveryIdOfBothSegments) {
+  const DistGraph part = segmentedPartition({4, 9, 12}, {2, 10, 30});
+  for (uint64_t lid = 0; lid < part.numLocalNodes(); ++lid) {
+    EXPECT_EQ(part.localIdOf(part.localToGlobal[lid]), lid);
+  }
+}
+
+TEST(DistGraphLocalIdOf, IdBelowTheFirstMasterIsAbsent) {
+  const DistGraph part = segmentedPartition({4, 9, 12}, {2, 10, 30});
+  EXPECT_FALSE(part.localIdOf(3).has_value());
+  EXPECT_FALSE(part.localIdOf(0).has_value());
+}
+
+TEST(DistGraphLocalIdOf, IdBetweenTheSegmentsIsAbsent) {
+  // Past every master and before every mirror.
+  const DistGraph part = segmentedPartition({1, 3}, {7, 8});
+  EXPECT_FALSE(part.localIdOf(5).has_value());
+  // Inside each segment's span but in neither.
+  const DistGraph mixed = segmentedPartition({4, 9, 12}, {2, 10, 30});
+  EXPECT_FALSE(mixed.localIdOf(11).has_value());
+  EXPECT_FALSE(mixed.localIdOf(20).has_value());
+}
+
+TEST(DistGraphLocalIdOf, MasterMirrorBoundary) {
+  // The last master and the first mirror sit at adjacent local ids.
+  const DistGraph part = segmentedPartition({4, 9, 12}, {2, 10, 30});
+  EXPECT_EQ(part.localIdOf(12), 2u);
+  EXPECT_EQ(part.localIdOf(2), 3u);
+  const DistGraph ordered = segmentedPartition({1, 3}, {7, 8});
+  EXPECT_EQ(ordered.localIdOf(3), 1u);
+  EXPECT_EQ(ordered.localIdOf(7), 2u);
+}
+
+TEST(DistGraphLocalIdOf, IdPastTheLastMirrorIsAbsent) {
+  const DistGraph part = segmentedPartition({4, 9, 12}, {2, 10, 30});
+  EXPECT_FALSE(part.localIdOf(31).has_value());
+  EXPECT_FALSE(part.localIdOf(UINT64_MAX).has_value());
+}
+
+TEST(DistGraphLocalIdOf, EmptyPartition) {
+  const DistGraph part = segmentedPartition({}, {});
+  EXPECT_FALSE(part.localIdOf(0).has_value());
+  EXPECT_FALSE(part.localIdOf(7).has_value());
+}
+
+TEST(DistGraphLocalIdOf, PartitionWithoutMirrors) {
+  const DistGraph part = segmentedPartition({0, 5, 6}, {});
+  EXPECT_EQ(part.localIdOf(0), 0u);
+  EXPECT_EQ(part.localIdOf(6), 2u);
+  EXPECT_FALSE(part.localIdOf(3).has_value());
+  EXPECT_FALSE(part.localIdOf(7).has_value());
+}
+
+TEST(DistGraphLocalIdOf, PartitionWithoutMasters) {
+  const DistGraph part = segmentedPartition({}, {3, 8});
+  EXPECT_EQ(part.localIdOf(3), 0u);
+  EXPECT_EQ(part.localIdOf(8), 1u);
+  EXPECT_FALSE(part.localIdOf(5).has_value());
+}
+
 TEST(DistGraphTest, EdgesWithGlobalIdsMatchesInput) {
   const auto g = graph::generateErdosRenyi(150, 900, 37);
   const auto parts = makeParts(g, "HVC", 3);

@@ -46,9 +46,10 @@ struct OracleRules {
 
 // The rules of `policy` written out from their definitions, independently
 // of core/policies.cpp. "Out" degrees are those of the streamed file.
+using MasterMap = std::shared_ptr<const std::vector<uint32_t>>;
+
 OracleRules oracleRules(const std::string& policy, const CsrGraph& g,
-                        uint32_t k,
-                        const std::shared_ptr<const std::vector<uint32_t>>& map) {
+                        uint32_t k, const MasterMap& map) {
   OracleRules rules;
   if (policy == "FROMMAP") {
     rules.master = [map](uint64_t v) { return (*map)[v]; };
@@ -162,7 +163,7 @@ std::vector<DistGraph> oraclePartition(const CsrGraph& g,
   return parts;
 }
 
-// ---- harness ----------------------------------------------------------------
+// ---- harness --------------------------------------------------------------
 
 void expectSamePartition(const DistGraph& want, const DistGraph& got) {
   const std::string where = "host " + std::to_string(want.hostId);
@@ -187,7 +188,7 @@ CsrGraph weightedRmat() {
   return graph::withRandomWeights(graph::generateRmat(params), 1000, 29);
 }
 
-std::shared_ptr<const std::vector<uint32_t>> randomMap(uint64_t n, uint32_t k) {
+MasterMap randomMap(uint64_t n, uint32_t k) {
   support::Rng rng(31 + k);
   auto map = std::make_shared<std::vector<uint32_t>>(n);
   for (auto& part : *map) {
@@ -196,9 +197,7 @@ std::shared_ptr<const std::vector<uint32_t>> randomMap(uint64_t n, uint32_t k) {
   return map;
 }
 
-PartitionPolicy policyFor(
-    const std::string& name,
-    const std::shared_ptr<const std::vector<uint32_t>>& map) {
+PartitionPolicy policyFor(const std::string& name, const MasterMap& map) {
   if (name == "FROMMAP") {
     PartitionPolicy policy;
     policy.name = name;
@@ -246,7 +245,7 @@ PartitionerConfig hostsConfig(uint32_t hosts) {
   return config;
 }
 
-// ---- axes ---------------------------------------------------------------------
+// ---- axes -----------------------------------------------------------------
 
 class PartitionOracle : public ::testing::TestWithParam<std::string> {};
 
