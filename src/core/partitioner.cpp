@@ -40,37 +40,6 @@ inline void flagOnce(DynamicBitset& flags, uint64_t index) {
   }
 }
 
-using FlaggedMirrors = std::vector<std::pair<uint64_t, uint32_t>>;
-
-// Merges per-host (gid, master) lists, each sorted by gid, into one sorted
-// list without repeated gids (several hosts may flag the same mirror; they
-// agree on its master). Pairwise rounds keep the cost O(n log k).
-FlaggedMirrors mergeFlaggedMirrors(std::vector<FlaggedMirrors> lists) {
-  if (lists.empty()) {
-    return {};
-  }
-  while (lists.size() > 1) {
-    std::vector<FlaggedMirrors> next;
-    for (size_t i = 0; i + 1 < lists.size(); i += 2) {
-      FlaggedMirrors merged(lists[i].size() + lists[i + 1].size());
-      std::merge(lists[i].begin(), lists[i].end(), lists[i + 1].begin(),
-                 lists[i + 1].end(), merged.begin());
-      next.push_back(std::move(merged));
-    }
-    if (lists.size() % 2 == 1) {
-      next.push_back(std::move(lists.back()));
-    }
-    lists = std::move(next);
-  }
-  FlaggedMirrors& out = lists.front();
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first == b.first;
-                        }),
-            out.end());
-  return std::move(out);
-}
-
 // One host's partitioning job; phase methods run in order and share state
 // through the members. All inter-host data moves through `net`.
 class PartitionJob {
@@ -787,10 +756,11 @@ class PartitionJob {
   }
 
   // Stateful path: copies this host's own assignments into the master
-  // table once phase 2 (or its restore) is complete.
+  // table once phase 2 (or its restore) is complete. The size of
+  // masterOfMine_ may come from a checkpoint, hence .at().
   void publishOwnMasters() {
     for (uint64_t idx = 0; idx < masterOfMine_.size(); ++idx) {
-      masterTable_[myRange_.nodeBegin + idx] =
+      masterTable_.at(myRange_.nodeBegin + idx) =
           masterOfMine_[idx].load(std::memory_order_relaxed);
     }
   }
@@ -933,16 +903,16 @@ class PartitionJob {
     }
     net_.flushAggregated(me_);  // blocking on every peer's counts next
     // Local contribution (host == me) is absorbed directly. Every host's
-    // flag list is sorted by gid, so one merge yields the sorted union.
+    // flag list is sorted by gid, so merging each into the running union
+    // keeps mirrorMasters_ sorted.
     countsFrom_.assign(k, {});
     countsFrom_[me_] = outCounts_[me_];
-    std::vector<FlaggedMirrors> flagged(k);
+    mirrorMasters_.clear();
     {
       std::vector<uint64_t> gids;
       mirrorFlags[me_].collectSetBits(gids);
-      flagged[me_].reserve(gids.size());
       for (uint64_t gid : gids) {
-        flagged[me_].emplace_back(gid, masterOf(gid));
+        mirrorMasters_.emplace_back(gid, masterOf(gid));
       }
     }
     for (HostId h = 0; h < k; ++h) {
@@ -955,12 +925,18 @@ class PartitionJob {
       std::vector<uint64_t> gids;
       std::vector<uint32_t> masters;
       support::deserializeAll(mirrorMsg.payload, gids, masters);
-      flagged[h].reserve(gids.size());
+      const auto merged = static_cast<std::ptrdiff_t>(mirrorMasters_.size());
       for (size_t i = 0; i < gids.size(); ++i) {
-        flagged[h].emplace_back(gids[i], masters[i]);
+        mirrorMasters_.emplace_back(gids[i], masters[i]);
       }
+      std::inplace_merge(mirrorMasters_.begin(),
+                         mirrorMasters_.begin() + merged,
+                         mirrorMasters_.end());
     }
-    mirrorMasters_ = mergeFlaggedMirrors(std::move(flagged));
+    // Several hosts may flag the same mirror; they agree on its master.
+    mirrorMasters_.erase(
+        std::unique(mirrorMasters_.begin(), mirrorMasters_.end()),
+        mirrorMasters_.end());
 
     // Master lists: which global nodes is this host the master of? For pure
     // rules each host replicates the computation over all nodes (IV-D5);
@@ -1526,7 +1502,7 @@ class PartitionJob {
   std::vector<std::vector<uint64_t>> countsFrom_;  // [host][their index]
   // Every node some host flagged as a mirror here, with its master, sorted
   // by gid (nodes whose master is this host included).
-  FlaggedMirrors mirrorMasters_;
+  std::vector<std::pair<uint64_t, uint32_t>> mirrorMasters_;
   std::vector<uint64_t> myMasterNodes_;
   uint64_t expectedRemoteEdges_ = 0;
   std::vector<uint32_t> localIdTable_;  // global -> local id, or kNoLocal

@@ -7,7 +7,7 @@
 #
 # Usage: tests/run_sanitized.sh [asan-ubsan|tsan|ubsan|tsan-degraded|
 # tsan-chaos|tsan-obs|tsan-storage|tsan-splitbrain|asan-memory|
-# tsan-service|tsan-commbuf|tsan-analytics]
+# tsan-service|tsan-commbuf|tsan-analytics|tsan-oracle]
 # (default: both full suites).
 # `tsan-degraded` builds
 # the TSan preset but runs only the tests labeled `degraded` (eviction,
@@ -43,9 +43,12 @@
 # `analytics` label under TSan: the superstep kernels keep their scatter
 # and relax scratch (accumulators, dirty sets, frontiers) in plain,
 # non-atomic per-host state, so TSan confirms no host thread touches
-# another host's kernel state. `ubsan` is a standalone
-# UBSan build for when an ASan report needs to be separated from a UB
-# report.
+# another host's kernel state. `tsan-oracle` runs the `oracle` label (the
+# exact partition oracle) under TSan: its threadsPerHost = 4 cases read the
+# partitioner's dense master and local-id tables from worker threads while
+# the construction receiver thread inserts through them. `ubsan` is a
+# standalone UBSan build for when an ASan report needs to be separated from
+# a UB report.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,6 +89,9 @@ for preset in "${presets[@]}"; do
   elif [ "$preset" = "tsan-analytics" ]; then
     build_preset="tsan"
     label_args=(-L analytics)
+  elif [ "$preset" = "tsan-oracle" ]; then
+    build_preset="tsan"
+    label_args=(-L oracle)
   fi
   echo "==== [$preset] configure ===="
   cmake --preset "$build_preset"
