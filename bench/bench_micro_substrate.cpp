@@ -1,6 +1,7 @@
 // Microbenchmarks of the substrate primitives CuSP's performance rests on:
 // parallel loops, prefix sums, the concurrent bitset, serialization, the
-// partitioner's per-edge layers (edge-owner dispatch, global -> local id
+// partitioner's per-edge layers (edge-owner dispatch, the edge-assignment
+// record and flag pass, phase 2's request pass, global -> local id
 // translation), and the message-passing runtime (including the
 // buffered-vs-immediate send ablation at the primitive level). The
 // message-passing benchmarks do their work on peer/runHosts threads while
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -251,6 +253,110 @@ void BM_EdgeOwnerDispatch(benchmark::State& state) {
 BENCHMARK(BM_EdgeOwnerDispatch)
     ->ArgsProduct({{0, 1, 2}, {0, 1}})
     ->ArgNames({"rule", "static"});
+
+// The whole per-edge record of edge assignment (paper Algorithm 3) for
+// every kron edge on 4 partitions: the owner under Source (arg 0), Hybrid
+// (1) or Cartesian (2) through the static path, one out-edge count, and a
+// createMirror flag for each endpoint whose master is not the owner. The
+// flag arm is the old locked test-then-set, a branch on the condition and
+// then test() and fetch_or set() (second arg 0), or the single-writer
+// setIf the partitioner uses now: a load, an OR of `cond << bit` and a
+// store, with no branch (1). The flag sets start clear every iteration, as
+// they do in every job.
+void BM_EdgeAssignRecord(benchmark::State& state) {
+  const KronEdges& in = kronEdges();
+  const core::EdgeRule rule = state.range(0) == 0   ? core::edgeSource()
+                              : state.range(0) == 1 ? core::edgeHybrid(10)
+                                                    : core::edgeCartesian();
+  const bool singleWriter = state.range(1) == 1;
+  const uint32_t k = in.prop.getNumPartitions();
+  const uint64_t n = in.graph.numNodes();
+  core::PartitionState estate;
+  std::vector<std::vector<uint64_t>> counts(k, std::vector<uint64_t>(n, 0));
+  std::vector<support::DynamicBitset> flags(k, support::DynamicBitset(n));
+  auto lockedFlag = [](support::DynamicBitset& bits, uint64_t i, bool cond) {
+    if (cond && !bits.test(i)) {
+      bits.set(i);
+    }
+  };
+  auto recordAll = [&](const auto& edgeOwner) {
+    for (size_t e = 0; e < in.srcs.size(); ++e) {
+      const uint64_t s = in.srcs[e];
+      const uint64_t d = in.dsts[e];
+      const uint32_t sMaster = in.masterOf[s];
+      const uint32_t dMaster = in.masterOf[d];
+      const uint32_t owner =
+          edgeOwner(in.prop, s, d, sMaster, dMaster, estate);
+      ++counts[owner][s];
+      if (singleWriter) {
+        flags[owner].setIf(d, owner != dMaster);
+        flags[owner].setIf(s, owner != sMaster);
+      } else {
+        lockedFlag(flags[owner], d, owner != dMaster);
+        lockedFlag(flags[owner], s, owner != sMaster);
+      }
+    }
+  };
+  for (auto _ : state) {
+    for (auto& bits : flags) {
+      bits.resetAll();
+    }
+    core::visitEdgeRule(rule.fn, recordAll);
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::DoNotOptimize(flags[0].count());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(rule.name + (singleWriter ? " single-writer" : " locked"));
+  setPerEdge(state, in.srcs.size());
+}
+BENCHMARK(BM_EdgeAssignRecord)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"rule", "single_writer"});
+
+// Phase 2's request pass on host `host` of 4 (ContiguousEB reading ranges):
+// mark every destination of the host's read edges that lies outside its
+// node range. Arm 0 (second arg) is the old pass: the two-compare range
+// test, a branch, and a fetch_or set(). Arm 1 keeps the two compares but
+// marks with the single-writer setIf. Arm 2 is the partitioner's pass now:
+// one unsigned compare and setIf.
+void BM_RequestPass(benchmark::State& state) {
+  const KronEdges& in = kronEdges();
+  const uint32_t host = static_cast<uint32_t>(state.range(0));
+  const int64_t arm = state.range(1);
+  const graph::ReadRange range = graph::contiguousEbRanges(in.file, 4)[host];
+  const std::span<const uint64_t> dests(in.dsts.data() + range.edgeBegin,
+                                        range.numEdges());
+  auto twoCompares = [&](uint64_t d) {
+    return d >= range.nodeBegin && d < range.nodeEnd;
+  };
+  support::DynamicBitset needed(in.graph.numNodes());
+  for (auto _ : state) {
+    needed.resetAll();
+    if (arm == 0) {
+      for (uint64_t d : dests) {
+        if (!twoCompares(d)) {
+          needed.set(d);
+        }
+      }
+    } else if (arm == 1) {
+      for (uint64_t d : dests) {
+        needed.setIf(d, !twoCompares(d));
+      }
+    } else {
+      for (uint64_t d : dests) {
+        needed.setIf(d, !(d - range.nodeBegin < range.numNodes()));
+      }
+    }
+    benchmark::DoNotOptimize(needed.count());
+  }
+  state.SetLabel(arm == 0   ? "two compares, set"
+                 : arm == 1 ? "two compares, setIf"
+                            : "one compare, setIf");
+  setPerEdge(state, dests.size());
+}
+BENCHMARK(BM_RequestPass)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
+    ->ArgNames({"host", "arm"});
 
 // Local id of both endpoints of every kron edge a host of 4 holds (the
 // edges of its ContiguousEB masters): through an unordered_map with .at()

@@ -88,7 +88,7 @@ Network::Network(uint32_t numHosts, NetworkCostModel costModel)
     if (sink.metrics) {
       obs_.registry = sink.metrics;
       obs::MetricsRegistry& reg = *obs_.registry;
-      for (Tag t = 0; t < kTagCount; ++t) {
+      for (Tag t = 0; t < kNumNamedTags; ++t) {
         obs_.bytes[t] = &reg.counter("cusp.net.bytes", {{"tag", tagName(t)}});
         obs_.messages[t] =
             &reg.counter("cusp.net.messages", {{"tag", tagName(t)}});
@@ -1206,7 +1206,7 @@ void Network::accountSend(HostId from, HostId to, Tag tag, size_t bytes,
   if (tag < kTagCount) {
     volume_.bytes[tag].fetch_add(bytes, std::memory_order_relaxed);
     volume_.messages[tag].fetch_add(1, std::memory_order_relaxed);
-    if (obs_.registry) {
+    if (obs_.bytes[tag] != nullptr) {
       obs_.bytes[tag]->add(bytes);
       obs_.messages[tag]->add(1);
     }

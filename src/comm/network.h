@@ -137,6 +137,11 @@ enum PhaseTag : Tag {
   kTagBarrierDown = kFirstReserved + 3,
 };
 
+// Tags below this have a tagName() of their own and a per-tag metrics
+// series; the rest of [kNumNamedTags, kTagCount) is counted in VolumeStats
+// only.
+inline constexpr Tag kNumNamedTags = kTagStateReduce + 1;
+
 struct Message {
   HostId from = 0;
   Tag tag = 0;
@@ -763,8 +768,8 @@ class Network {
   // cells alive even if the sink is detached while this Network lives.
   struct ObsHandles {
     std::shared_ptr<obs::MetricsRegistry> registry;
-    obs::Counter* bytes[kTagCount] = {};
-    obs::Counter* messages[kTagCount] = {};
+    obs::Counter* bytes[kTagCount] = {};     // null for unnamed tags
+    obs::Counter* messages[kTagCount] = {};  // null for unnamed tags
     obs::Counter* collectiveBytes = nullptr;
     obs::Counter* collectiveMessages = nullptr;
     obs::Counter* framingBytes = nullptr;

@@ -48,15 +48,15 @@ struct HybridEdgeRule {
 };
 
 // Paper Algorithm 2, CARTESIAN: rows blocked, columns cyclic over the grid
-// GraphProperties computed once.
+// GraphProperties computed once. The blocked row offset
+// ((srcMaster / pCols) * pCols) and the cyclic column offset
+// (dstMaster % pCols) are two loads from GraphProperties' per-partition
+// tables instead of two divisions per edge.
 struct CartesianEdgeRule {
   uint32_t operator()(const GraphProperties& prop, uint64_t, uint64_t,
                       uint32_t srcMaster, uint32_t dstMaster,
                       PartitionState&) const {
-    const uint32_t pCols = prop.getCartesianGrid().second;
-    const uint32_t blockedRowOffset = (srcMaster / pCols) * pCols;
-    const uint32_t cyclicColumnOffset = dstMaster % pCols;
-    return blockedRowOffset + cyclicColumnOffset;
+    return prop.cartesianRowBase(srcMaster) + prop.cartesianColumn(dstMaster);
   }
 };
 

@@ -32,14 +32,6 @@ using support::SendBuffer;
 // Sentinel of the job's global -> local id table for nodes not on this host.
 inline constexpr uint32_t kNoLocal = UINT32_MAX;
 
-// Sets a mirror flag unless it is already set: most flags repeat, and a
-// plain load is cheaper than the atomic read-modify-write.
-inline void flagOnce(DynamicBitset& flags, uint64_t index) {
-  if (!flags.test(index)) {
-    flags.set(index);
-  }
-}
-
 // One host's partitioning job; phase methods run in order and share state
 // through the members. All inter-host data moves through `net`.
 class PartitionJob {
@@ -394,8 +386,11 @@ class PartitionJob {
 
   // Global node id -> index into this host's read window.
   uint64_t windowIndex(uint64_t gid) const { return gid - myRange_.nodeBegin; }
+  // One unsigned compare: ids below nodeBegin wrap to huge values. Per-edge
+  // loops call this on ids in no predictable order, where the two-compare
+  // form costs a mispredicted branch.
   bool inMyRange(uint64_t gid) const {
-    return gid >= myRange_.nodeBegin && gid < myRange_.nodeEnd;
+    return gid - myRange_.nodeBegin < myRange_.numNodes();
   }
 
   // Out-edges of a read node, as offsets into the window arrays.
@@ -613,15 +608,12 @@ class PartitionJob {
     // Pre-request the master assignments this host will need: the
     // destinations of its read edges (they are both the Fennel scoring
     // neighbors and the dstMaster inputs of edge assignment). Paper IV-D5:
-    // assignments are only communicated on request.
+    // assignments are only communicated on request. One thread writes
+    // `needed`, so each destination is a branch-free single-writer mark.
     std::vector<std::vector<uint64_t>> requestsTo(numHosts());
     {
       DynamicBitset needed(prop_.getNumNodes());
-      auto noteDest = [&](uint64_t d) {
-        if (!inMyRange(d)) {
-          needed.set(d);
-        }
-      };
+      auto noteDest = [&](uint64_t d) { needed.setIf(d, !inMyRange(d)); };
       if (streamingWindows_) {
         forEachChunk([&](const Chunk&, const std::vector<uint64_t>& dests,
                          const std::vector<uint32_t>&) {
@@ -860,12 +852,9 @@ class PartitionJob {
       fillPureMasterTable();
     }
     outCounts_.assign(k, std::vector<uint64_t>(myNumNodes(), 0));
-    std::vector<DynamicBitset> mirrorFlags(k);
-    for (auto& flags : mirrorFlags) {
-      flags.resize(prop_.getNumNodes());
-    }
+    std::vector<DynamicBitset> mirrorFlags;
     visitEdgeRule(policy_.edge.fn, [&](const auto& edgeOwner) {
-      assignEdges(edgeOwner, mirrorFlags);
+      mirrorFlags = assignEdges(edgeOwner);
     });
     if (policy_.edge.usesState) {
       state_.synchronize(net_, me_);
@@ -978,24 +967,33 @@ class PartitionJob {
 
   // The per-edge loop of edge assignment, one source for every edge rule:
   // `edgeOwner` is a built-in functor (inlined) or the rule's std::function.
+  // Returns the k createMirror flag sets (paper Algorithm 3). Each worker of
+  // the resident per-node loop marks its own k sets with branch-free
+  // single-writer ORs, and the sets are OR-merged into worker 0's once at
+  // the end; the windowed, chunked and stateful-edge paths run on one
+  // thread and use worker 0's sets only.
   template <typename EdgeOwner>
-  void assignEdges(const EdgeOwner& edgeOwner,
-                   std::vector<DynamicBitset>& mirrorFlags) {
-    auto recordEdge = [&](uint64_t idx, uint64_t s, uint32_t sMaster,
-                          uint64_t d) {
+  std::vector<DynamicBitset> assignEdges(const EdgeOwner& edgeOwner) {
+    const uint32_t k = numHosts();
+    const bool sequential =
+        windowedMode() || streamingWindows_ || policy_.edge.usesState;
+    const unsigned workers =
+        sequential ? 1 : std::max(1u, config_.threadsPerHost);
+    std::vector<std::vector<DynamicBitset>> flags(
+        workers,
+        std::vector<DynamicBitset>(k, DynamicBitset(prop_.getNumNodes())));
+    auto recordEdge = [&](std::vector<DynamicBitset>& myFlags, uint64_t idx,
+                          uint64_t s, uint32_t sMaster, uint64_t d) {
       const uint32_t dMaster = masterOf(d);
       const uint32_t owner = edgeOwner(prop_, s, d, sMaster, dMaster, state_);
       ++outCounts_[owner][idx];
-      if (owner != dMaster) {
-        flagOnce(mirrorFlags[owner], d);
-      }
-      if (owner != sMaster) {
-        flagOnce(mirrorFlags[owner], s);
-      }
+      DynamicBitset& ownerFlags = myFlags[owner];
+      ownerFlags.setIf(d, owner != dMaster);
+      ownerFlags.setIf(s, owner != sMaster);
     };
     if (windowedMode()) {
       forEachEdgeWindowed([&](uint64_t s, uint64_t e) {
-        recordEdge(windowIndex(s), s, masterOf(s), winDests_[e]);
+        recordEdge(flags[0], windowIndex(s), s, masterOf(s), winDests_[e]);
       });
     } else if (streamingWindows_) {
       // Sequential chunk walk in ascending node order — the same edge
@@ -1010,25 +1008,31 @@ class PartitionJob {
           const uint64_t eBegin = winRowStart_[idx] - chunk.edgeBegin;
           const uint64_t eEnd = winRowStart_[idx + 1] - chunk.edgeBegin;
           for (uint64_t e = eBegin; e < eEnd; ++e) {
-            recordEdge(idx, s, sMaster, dests[e]);
+            recordEdge(flags[0], idx, s, sMaster, dests[e]);
           }
         }
       });
     } else {
-      const unsigned threads =
-          policy_.edge.usesState ? 1 : config_.threadsPerHost;
-      support::parallelFor(
+      support::parallelForChunks(
           0, myNumNodes(),
-          [&](uint64_t idx) {
-            const uint64_t s = myRange_.nodeBegin + idx;
-            const uint32_t sMaster = masterOf(s);
-            const auto [eBegin, eEnd] = windowEdges(s);
-            for (uint64_t e = eBegin; e < eEnd; ++e) {
-              recordEdge(idx, s, sMaster, winDests_[e]);
+          [&](unsigned worker, uint64_t lo, uint64_t hi) {
+            for (uint64_t idx = lo; idx < hi; ++idx) {
+              const uint64_t s = myRange_.nodeBegin + idx;
+              const uint32_t sMaster = masterOf(s);
+              const auto [eBegin, eEnd] = windowEdges(s);
+              for (uint64_t e = eBegin; e < eEnd; ++e) {
+                recordEdge(flags[worker], idx, s, sMaster, winDests_[e]);
+              }
             }
           },
-          threads);
+          workers);
     }
+    for (unsigned w = 1; w < workers; ++w) {
+      for (uint32_t h = 0; h < k; ++h) {
+        flags[0][h].orWith(flags[w][h]);
+      }
+    }
+    return std::move(flags[0]);
   }
 
   // ---- phase 4: graph allocation -----------------------------------------

@@ -16,6 +16,7 @@
 #include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "graph/graph_file.h"
 
@@ -42,7 +43,14 @@ class GraphProperties {
       : file_(&file),
         numPartitions_(numPartitions),
         grid_(numPartitions > 0 ? cartesianGrid(numPartitions)
-                                : std::pair<uint32_t, uint32_t>{0, 0}) {}
+                                : std::pair<uint32_t, uint32_t>{0, 0}) {
+    cartesianRowBase_.resize(numPartitions);
+    cartesianColumn_.resize(numPartitions);
+    for (uint32_t p = 0; p < numPartitions; ++p) {
+      cartesianRowBase_[p] = (p / grid_.second) * grid_.second;
+      cartesianColumn_[p] = p % grid_.second;
+    }
+  }
 
   uint64_t getNumNodes() const { return file_->numNodes(); }
   uint64_t getNumEdges() const { return file_->numEdges(); }
@@ -70,12 +78,21 @@ class GraphProperties {
     return grid_;
   }
 
+  // The CVC grid per partition p < getNumPartitions(), tabulated at
+  // construction so the CARTESIAN rule needs no division: the first
+  // partition of p's grid row ((p / pCols) * pCols), and p's grid column
+  // (p % pCols). Unchecked: p must be a valid partition.
+  uint32_t cartesianRowBase(uint32_t p) const { return cartesianRowBase_[p]; }
+  uint32_t cartesianColumn(uint32_t p) const { return cartesianColumn_[p]; }
+
   const graph::GraphFile& file() const { return *file_; }
 
  private:
   const graph::GraphFile* file_;
   uint32_t numPartitions_;
   std::pair<uint32_t, uint32_t> grid_;
+  std::vector<uint32_t> cartesianRowBase_;
+  std::vector<uint32_t> cartesianColumn_;
 };
 
 }  // namespace cusp::core

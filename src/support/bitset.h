@@ -3,11 +3,14 @@
 // Used to track "dirty" vertices in the analytics engine's master/mirror
 // synchronization and to record createMirror flags during edge assignment.
 // Set/test are safe under concurrent writers (atomic fetch_or on 64-bit
-// words); resize and reset are not concurrent with writers.
+// words); resize and reset are not concurrent with writers. setIf and
+// orWith are single-writer: a plain load, OR and store per word, with no
+// locked instruction and no branch on the condition.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace cusp::support {
@@ -40,6 +43,29 @@ class DynamicBitset {
     const uint64_t old =
         words_[index >> 6].fetch_or(mask, std::memory_order_relaxed);
     return (old & mask) == 0;
+  }
+
+  // Single-writer: sets the bit iff `cond`, as a load, an OR of
+  // `cond << bit` and a store. No other thread may write the bitset
+  // concurrently (a concurrent writer to the same word could lose its bit).
+  void setIf(uint64_t index, bool cond) {
+    std::atomic<uint64_t>& word = words_[index >> 6];
+    word.store(word.load(std::memory_order_relaxed) |
+                   (static_cast<uint64_t>(cond) << (index & 63)),
+               std::memory_order_relaxed);
+  }
+
+  // Single-writer: ORs `other` into this bitset (this becomes the union).
+  // Both must have the same size; `other` must not be written concurrently.
+  void orWith(const DynamicBitset& other) {
+    if (other.numBits_ != numBits_) {
+      throw std::invalid_argument("DynamicBitset::orWith: size mismatch");
+    }
+    for (size_t w = 0; w < words_.size(); ++w) {
+      words_[w].store(words_[w].load(std::memory_order_relaxed) |
+                          other.words_[w].load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+    }
   }
 
   // Thread-safe with concurrent set() on other bits; plain read.

@@ -108,14 +108,26 @@ void forkJoin(unsigned numThreads,
 void parallelFor(uint64_t begin, uint64_t end,
                  const std::function<void(uint64_t)>& fn, unsigned numThreads,
                  uint64_t chunkSize) {
+  parallelForChunks(
+      begin, end,
+      [&](unsigned, uint64_t lo, uint64_t hi) {
+        for (uint64_t i = lo; i < hi; ++i) {
+          fn(i);
+        }
+      },
+      numThreads, chunkSize);
+}
+
+void parallelForChunks(
+    uint64_t begin, uint64_t end,
+    const std::function<void(unsigned, uint64_t, uint64_t)>& fn,
+    unsigned numThreads, uint64_t chunkSize) {
   if (begin >= end) {
     return;
   }
   const uint64_t count = end - begin;
   if (numThreads <= 1 || count == 1) {
-    for (uint64_t i = begin; i < end; ++i) {
-      fn(i);
-    }
+    fn(0, begin, end);
     return;
   }
   if (chunkSize == 0) {
@@ -123,16 +135,13 @@ void parallelFor(uint64_t begin, uint64_t end,
     chunkSize = std::max<uint64_t>(1, count / (8ull * numThreads));
   }
   std::atomic<uint64_t> next{begin};
-  forkJoin(numThreads, [&](unsigned) {
+  forkJoin(numThreads, [&](unsigned worker) {
     for (;;) {
       const uint64_t lo = next.fetch_add(chunkSize, std::memory_order_relaxed);
       if (lo >= end) {
         break;
       }
-      const uint64_t hi = std::min(end, lo + chunkSize);
-      for (uint64_t i = lo; i < hi; ++i) {
-        fn(i);
-      }
+      fn(worker, lo, std::min(end, lo + chunkSize));
     }
   });
 }

@@ -6,6 +6,8 @@
 //
 //   * ThreadPool      — a persistent pool of worker threads.
 //   * parallelFor     — chunked dynamic-scheduled loop over [begin, end).
+//   * parallelForChunks — the same schedule, handing each chunk with the
+//                       index of the worker that runs it.
 //   * onEach          — run a function once per thread (thread id, count).
 //
 // Work distribution uses an atomic chunk counter, which gives the same
@@ -65,6 +67,16 @@ class ThreadPool {
 void parallelFor(uint64_t begin, uint64_t end,
                  const std::function<void(uint64_t)>& fn,
                  unsigned numThreads = 1, uint64_t chunkSize = 0);
+
+// The schedule of parallelFor, one call per chunk: fn(worker, lo, hi) for
+// disjoint [lo, hi) covering [begin, end). `worker` < max(1, numThreads)
+// names the thread running the chunk (0 is the caller), so per-worker state
+// indexed by it is single-writer. numThreads <= 1 runs fn(0, begin, end)
+// inline. Exceptions propagate as in parallelFor.
+void parallelForChunks(
+    uint64_t begin, uint64_t end,
+    const std::function<void(unsigned, uint64_t, uint64_t)>& fn,
+    unsigned numThreads = 1, uint64_t chunkSize = 0);
 
 // Block-scheduled variant handing each thread one contiguous [lo, hi) slice;
 // fn(threadId, lo, hi). Useful when per-thread state (e.g. thread-local send

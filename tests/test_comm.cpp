@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "comm/network.h"
@@ -743,6 +745,43 @@ TEST(VolumeConservation, RegistryCountersMirrorSnapshotWhenSinkAttached) {
                 .snapshot()
                 .counterValue("cusp.net.bytes", {{"tag", "kTagEdgeBatch"}}),
             stats.bytes[kTagEdgeBatch]);
+}
+
+TEST(VolumeConservation, RegistryHasSeriesOnlyForNamedTags) {
+  obs::ScopedObservability scope;
+  Network net(2);
+  // Tag 12 has no name: VolumeStats counts it, the registry does not.
+  const Tag unnamed = kNumNamedTags + 1;
+  runHosts(net, [&](HostId me) {
+    if (me == 0) {
+      net.send(0, 1, unnamed, bufferWith(5));
+      net.send(0, 1, kTagEdgeBatch, bufferWith(6));
+    } else {
+      net.recv(1, unnamed);
+      net.recv(1, kTagEdgeBatch);
+    }
+  });
+  EXPECT_EQ(net.statsSnapshot().messages[unnamed], 1u);
+  const auto snap = scope.metrics().snapshot();
+  std::set<std::string> tagLabels;
+  for (const auto& sample : snap.counters) {
+    if (sample.name != "cusp.net.bytes" && sample.name != "cusp.net.messages") {
+      continue;
+    }
+    for (const auto& [key, value] : sample.labels) {
+      if (key == "tag") {
+        tagLabels.insert(value);
+      }
+    }
+  }
+  for (Tag t = kNumNamedTags; t < kTagCount; ++t) {
+    EXPECT_EQ(tagLabels.count("tag " + std::to_string(t)), 0u) << t;
+  }
+  for (Tag t = 0; t < kNumNamedTags; ++t) {
+    EXPECT_EQ(tagLabels.count(tagName(t)), 1u) << t;
+  }
+  EXPECT_EQ(tagLabels.count("collective"), 1u);
+  EXPECT_EQ(tagLabels.size(), kNumNamedTags + 1);
 }
 
 TEST(FaultTest, DuplicateFilterMemoryIsBounded) {

@@ -374,6 +374,19 @@ TEST(CartesianGridTest, FactorizesCloseToSquare) {
   EXPECT_THROW(cartesianGrid(0), std::invalid_argument);
 }
 
+TEST(GraphPropertiesTest, CartesianTablesMatchTheGridDivisions) {
+  const auto g = graph::makePath(4);
+  for (uint32_t k : {1u, 2u, 3u, 4u, 6u, 7u, 8u, 12u, 16u}) {
+    RuleHarness h(g, k);
+    const uint32_t pCols = cartesianGrid(k).second;
+    for (uint32_t p = 0; p < k; ++p) {
+      EXPECT_EQ(h.prop.cartesianRowBase(p), (p / pCols) * pCols)
+          << k << "/" << p;
+      EXPECT_EQ(h.prop.cartesianColumn(p), p % pCols) << k << "/" << p;
+    }
+  }
+}
+
 TEST(EdgeRules, CartesianFormula) {
   const auto g = graph::makePath(4);
   RuleHarness h(g, 6);  // grid: 3 rows x 2 cols

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "support/bitset.h"
 #include "support/prefix_sum.h"
@@ -61,6 +63,55 @@ TEST_P(ParallelForThreads, BlockedCoversRangeWithDisjointSlices) {
   }
 }
 
+TEST_P(ParallelForThreads, ChunksCoverRangeWithWorkerIdsInBounds) {
+  const unsigned threads = GetParam();
+  const uint64_t n = 5'000;
+  std::vector<std::atomic<int>> visits(n);
+  std::atomic<bool> workerInBounds{true};
+  parallelForChunks(
+      3, n,
+      [&](unsigned worker, uint64_t lo, uint64_t hi) {
+        if (worker >= threads || lo >= hi) {
+          workerInBounds = false;
+        }
+        for (uint64_t i = lo; i < hi; ++i) {
+          visits[i].fetch_add(1);
+        }
+      },
+      threads);
+  EXPECT_TRUE(workerInBounds.load());
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(visits[i].load(), i < 3 ? 0 : 1) << "index " << i;
+  }
+}
+
+TEST_P(ParallelForThreads, PerWorkerBitsetsMergeToTheSharedResult) {
+  // The edge-assignment pattern: each worker marks its own bitset with
+  // single-writer setIf, then the sets are OR-merged once.
+  const unsigned threads = GetParam();
+  const uint64_t n = 4'099;
+  std::vector<DynamicBitset> perWorker(threads, DynamicBitset(n));
+  parallelForChunks(
+      0, n,
+      [&](unsigned worker, uint64_t lo, uint64_t hi) {
+        for (uint64_t i = lo; i < hi; ++i) {
+          perWorker[worker].setIf(i, i % 3 == 0);
+        }
+      },
+      threads);
+  for (unsigned w = 1; w < threads; ++w) {
+    perWorker[0].orWith(perWorker[w]);
+  }
+  DynamicBitset expected(n);
+  for (uint64_t i = 0; i < n; i += 3) {
+    expected.set(i);
+  }
+  std::vector<uint64_t> got, want;
+  perWorker[0].collectSetBits(got);
+  expected.collectSetBits(want);
+  EXPECT_EQ(got, want);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelForThreads,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
@@ -80,6 +131,23 @@ TEST(ParallelFor, PropagatesExceptions) {
                            },
                            4),
                std::runtime_error);
+}
+
+TEST(ParallelForChunks, EmptyRangeIsNoopAndOneThreadRunsInline) {
+  bool called = false;
+  auto mark = [&](unsigned, uint64_t, uint64_t) { called = true; };
+  parallelForChunks(10, 10, mark, 4);
+  parallelForChunks(10, 5, mark, 4);
+  EXPECT_FALSE(called);
+  std::vector<std::pair<uint64_t, uint64_t>> chunks;
+  parallelForChunks(
+      2, 9,
+      [&](unsigned worker, uint64_t lo, uint64_t hi) {
+        EXPECT_EQ(worker, 0u);
+        chunks.emplace_back(lo, hi);
+      },
+      1);
+  EXPECT_EQ(chunks, (std::vector<std::pair<uint64_t, uint64_t>>{{2, 9}}));
 }
 
 TEST(ParallelForBlocked, RejectsInvertedRange) {
@@ -220,6 +288,64 @@ TEST(Bitset, ConcurrentSetsAreAllVisible) {
   DynamicBitset bits(4096);
   parallelFor(0, 4096, [&](uint64_t i) { bits.set(i); }, 4);
   EXPECT_EQ(bits.count(), 4096u);
+}
+
+TEST(Bitset, SetIfFalseLeavesTheBitClear) {
+  DynamicBitset bits(130);
+  bits.set(64);
+  for (uint64_t i : {0u, 63u, 64u, 65u, 129u}) {
+    bits.setIf(i, false);
+  }
+  EXPECT_EQ(bits.count(), 1u);
+  EXPECT_FALSE(bits.test(0));
+  EXPECT_FALSE(bits.test(63));
+  EXPECT_TRUE(bits.test(64));  // a false condition never clears a set bit
+  EXPECT_FALSE(bits.test(65));
+  EXPECT_FALSE(bits.test(129));
+}
+
+TEST(Bitset, SetIfTrueSetsTheBit) {
+  DynamicBitset bits(130);
+  for (uint64_t i : {0u, 63u, 64u, 129u, 64u}) {
+    bits.setIf(i, true);
+  }
+  std::vector<uint64_t> out;
+  bits.collectSetBits(out);
+  EXPECT_EQ(out, (std::vector<uint64_t>{0, 63, 64, 129}));
+}
+
+TEST(Bitset, OrWithIsTheUnion) {
+  DynamicBitset a(200), b(200);
+  for (uint64_t i = 0; i < 200; i += 3) {
+    a.set(i);
+  }
+  for (uint64_t i = 0; i < 200; i += 5) {
+    b.set(i);
+  }
+  const DynamicBitset bBefore = b;
+  a.orWith(b);
+  for (uint64_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(a.test(i), i % 3 == 0 || i % 5 == 0) << i;
+    EXPECT_EQ(b.test(i), bBefore.test(i)) << i;  // the source is unchanged
+  }
+  DynamicBitset other(201);
+  EXPECT_THROW(a.orWith(other), std::invalid_argument);
+}
+
+TEST(Bitset, CollectOrderSurvivesAMerge) {
+  // Ascending order is what the mirror-flag exchange relies on: each
+  // host's flag list arrives sorted by gid.
+  DynamicBitset a(300), b(300);
+  for (uint64_t i : {299u, 7u, 128u, 64u}) {
+    a.set(i);
+  }
+  for (uint64_t i : {0u, 128u, 65u, 250u, 7u}) {
+    b.setIf(i, true);
+  }
+  a.orWith(b);
+  std::vector<uint64_t> out;
+  a.collectSetBits(out);
+  EXPECT_EQ(out, (std::vector<uint64_t>{0, 7, 64, 65, 128, 250, 299}));
 }
 
 TEST(Bitset, CopyIsIndependent) {
